@@ -7,7 +7,8 @@ byte-identical payloads; only timing varies.  With --dot the commands that
 produce a graph print GraphViz text instead of the report.
 
 Exit codes: 0 success, 2 parse/validation problems, 3 internal invariant
-breach, 4 unsatisfiable specification, 5 no sufficient fair assumption.
+breach or internal error, 4 unsatisfiable specification, 5 no sufficient
+fair assumption.
 """
 
 from __future__ import annotations
@@ -338,6 +339,11 @@ def main(argv: list[str] | None = None) -> int:
                 return code
         print(f"assumekit: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Backstop for the exit-code contract: a failure outside the error
+        # hierarchy is a bug, reported as an internal error, not a traceback.
+        print(f"assumekit: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
     if dot is not None:
         sys.stdout.write(dot)

@@ -83,23 +83,25 @@ def tarjan_scc(nodes: Sequence[str], succ: Mapping[str, Sequence[str]]) -> list[
     for root in nodes:
         if root in index:
             continue
-        # Each work item is (node, iterator position over its successors).
-        work = [(root, 0)]
+        # Each work item is (node, its sorted successors inside ``nodes``,
+        # position of the next one to visit); the list is built on the
+        # node's first visit and carried until it is popped.
+        work: list[tuple[str, list[str], int]] = [(root, [], 0)]
         while work:
-            u, i = work[-1]
-            if i == 0:
+            u, successors, i = work[-1]
+            if u not in index:
                 index[u] = low[u] = counter
                 counter += 1
                 stack.append(u)
                 on_stack.add(u)
+                successors = [v for v in sorted(succ.get(u, ())) if v in node_set]
             advanced = False
-            successors = [v for v in sorted(succ.get(u, ())) if v in node_set]
             while i < len(successors):
                 v = successors[i]
                 i += 1
                 if v not in index:
-                    work[-1] = (u, i)
-                    work.append((v, 0))
+                    work[-1] = (u, successors, i)
+                    work.append((v, [], 0))
                     advanced = True
                     break
                 if v in on_stack:
@@ -117,7 +119,7 @@ def tarjan_scc(nodes: Sequence[str], succ: Mapping[str, Sequence[str]]) -> list[
                         break
                 components.append(sorted(comp))
             if work:
-                parent, _ = work[-1]
+                parent = work[-1][0]
                 low[parent] = min(low[parent], low[u])
     return components
 

@@ -1,15 +1,31 @@
 """Sure-winning solvers for deterministic games.
 
-Reachability and safety are solved directly through attractors; Buchi,
-co-Buchi and parity go through Zielonka's recursive algorithm.  Strategy
-extraction breaks ties by lexicographic successor id, so repeated runs give
-identical strategies.  All winning conditions follow min-parity convention.
+Each call compiles the game into integer arrays once: state i is the i-th
+id of the sorted ``g.states``, so index order is lexicographic order, and
+ids come back only when the result is built.  Reachability and safety are
+solved directly through the attractor; Buchi, co-Buchi and parity go through
+Zielonka's algorithm, run on an explicit work stack so that no recursion
+depth grows with the input.  All winning conditions follow min-parity
+convention.
+
+Attractor levels and tie-breaks: targets have level 0.  A state of the
+attracting player joins at 1 + the least level among its successors inside
+the subgame, an opponent state at 1 + the greatest, and only once all of
+them have joined.  A joining player state records its lexicographically
+least successor that joined before its own level, so the induced strategy
+lowers the level at every step and reaches the target; strategy maps list
+the attracted states by level, then lexicographically.  The attractor is
+built layer by layer with a counter, per opponent state, of successors not
+yet attracted, in time linear in the area and the edges into it.  Every
+other move (at a reached target, inside a safe region, at the least
+priority in Zielonka) is the least successor that stays where its owner
+wins, so repeated runs give identical strategies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import AbstractSet, Iterable
 
 from .errors import ValidationError
 from .game import (
@@ -19,7 +35,14 @@ from .game import (
     ObjectiveKind,
     Owner,
 )
-from .graphs import backward_reachable, has_internal_edge, reachable, tarjan_scc
+from .graphs import backward_reachable, has_internal_edge, tarjan_scc
+
+# Integer owners: a parity favours player ``priority % 2``.
+_P1, _P2 = 0, 1
+_SIDE = {Owner.P1: _P1, Owner.P2: _P2, Owner.PROB: 2}
+
+# (win P1, win P2, strategy P1, strategy P2) over state indices.
+_Solution = tuple[set[int], set[int], dict[int, int], dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -33,37 +56,63 @@ class SolveResult:
     strat2: MemorylessStrategy
 
 
-def _attract(
-    nodes: set[str],
-    succ_of: Callable[[str], Iterable[str]],
-    owner: Mapping[str, Owner],
-    player: Owner,
-    targets: Iterable[str],
-) -> tuple[set[str], dict[str, str]]:
-    """Round-based attractor within ``nodes``.
+@dataclass(frozen=True)
+class _Arena:
+    """A game as integer arrays; index i is the i-th id of ``names``."""
 
-    Newly attracted player states record the lexicographically least
-    successor that was already attracted in an earlier round, which makes
-    the induced strategy level-decreasing (hence target-reaching).
-    """
-    area = set(targets) & nodes
-    strat: dict[str, str] = {}
-    while True:
-        added: list[tuple[str, str | None]] = []
-        for v in sorted(nodes - area):
-            succs = [t for t in succ_of(v) if t in nodes]
-            if owner[v] is player:
-                pick = next((t for t in succs if t in area), None)
-                if pick is not None:
-                    added.append((v, pick))
-            elif succs and all(t in area for t in succs):
-                added.append((v, None))
-        if not added:
-            return area, strat
-        for v, pick in added:
-            area.add(v)
-            if pick is not None:
-                strat[v] = pick
+    names: tuple[str, ...]
+    index: dict[str, int]
+    succ: list[tuple[int, ...]]  # sorted
+    pred: list[list[int]]
+    side: list[int]  # _P1, _P2, or 2 for probabilistic states
+
+
+def _compile(g: GameGraph) -> _Arena:
+    names = g.states
+    index = {s: i for i, s in enumerate(names)}
+    at = index.__getitem__
+    succ = [tuple(map(at, g.succ(s))) for s in names]
+    pred: list[list[int]] = [[] for _ in names]
+    for u, ts in enumerate(succ):
+        for t in ts:
+            pred[t].append(u)
+    return _Arena(names, index, succ, pred, [_SIDE[g.owner[s]] for s in names])
+
+
+def _attract(
+    a: _Arena, nodes: set[int], player: int, targets: AbstractSet[int]
+) -> tuple[set[int], set[int], dict[int, int]]:
+    """Attractor of ``targets`` for ``player`` within ``nodes``, by the levels
+    of the module docstring.  Returns the area, the rest of ``nodes`` and the
+    player's moves on the attracted states."""
+    succ, pred, side = a.succ, a.pred, a.side
+    area = nodes & targets
+    rest = nodes - area
+    moves: dict[int, int] = {}
+    left: dict[int, int] = {}  # opponent state -> successors not yet attracted
+    layer = sorted(area)
+    while layer:
+        picks: dict[int, int] = {}
+        forced: list[int] = []
+        for v in layer:
+            for u in pred[v]:
+                if u not in rest:
+                    continue
+                if side[u] == player:
+                    # The layer runs in index order, so the first pick is the least.
+                    picks.setdefault(u, v)
+                    continue
+                n = left.get(u)
+                if n is None:
+                    n = len(nodes.intersection(succ[u]))
+                left[u] = n - 1
+                if n == 1:
+                    forced.append(u)
+        moves.update(sorted(picks.items()))
+        layer = sorted([*picks, *forced])
+        area.update(layer)
+        rest.difference_update(layer)
+    return area, rest, moves
 
 
 def attractor(g: GameGraph, player: Owner, target: Iterable[str]) -> frozenset[str]:
@@ -73,97 +122,116 @@ def attractor(g: GameGraph, player: Owner, target: Iterable[str]) -> frozenset[s
     unknown = target - set(g.states)
     if unknown:
         raise ValidationError(f"attractor target mentions unknown state {sorted(unknown)[0]!r}")
-    area, _ = _attract(set(g.states), g.succ, g.owner, player, target)
-    return frozenset(area)
+    a = _compile(g)
+    area, _, _ = _attract(a, set(range(len(a.names))), _SIDE[player], {a.index[s] for s in target})
+    return frozenset(map(a.names.__getitem__, area))
 
 
-def _zielonka(
-    nodes: set[str],
-    succ_of: Callable[[str], Iterable[str]],
-    owner: Mapping[str, Owner],
-    prio: Mapping[str, int],
-) -> tuple[set[str], set[str], dict[str, str], dict[str, str]]:
-    """Returns (win P1, win P2, strategy P1, strategy P2) on ``nodes``."""
-    if not nodes:
-        return set(), set(), {}, {}
-    m = min(prio[v] for v in nodes)
-    fav = Owner.P1 if m % 2 == 0 else Owner.P2
-    opp = Owner.P2 if fav is Owner.P1 else Owner.P1
-    best = {v for v in nodes if prio[v] == m}
-
-    area, area_strat = _attract(nodes, succ_of, owner, fav, best)
-    sub_w1, sub_w2, sub_s1, sub_s2 = _zielonka(nodes - area, succ_of, owner, prio)
-    sub_win = {Owner.P1: sub_w1, Owner.P2: sub_w2}
-    sub_strat = {Owner.P1: sub_s1, Owner.P2: sub_s2}
-
-    if not sub_win[opp]:
-        # The favored player wins all of ``nodes``: recurse-winning states use
-        # their subgame strategy, attracted states walk to ``best``, and on
-        # ``best`` itself any move inside the node set does.
-        strat_fav = dict(sub_strat[fav])
-        strat_fav.update(area_strat)
-        for v in sorted(best):
-            if owner[v] is fav:
-                strat_fav[v] = next(t for t in succ_of(v) if t in nodes)
-        if fav is Owner.P1:
-            return set(nodes), set(), strat_fav, {}
-        return set(), set(nodes), {}, strat_fav
-
-    trap, trap_strat = _attract(nodes, succ_of, owner, opp, sub_win[opp])
-    rest_w1, rest_w2, rest_s1, rest_s2 = _zielonka(nodes - trap, succ_of, owner, prio)
-    rest_win = {Owner.P1: rest_w1, Owner.P2: rest_w2}
-    rest_strat = {Owner.P1: rest_s1, Owner.P2: rest_s2}
-
-    strat_opp = dict(sub_strat[opp])
-    strat_opp.update(trap_strat)
-    strat_opp.update(rest_strat[opp])
-    win_opp = rest_win[opp] | trap
-    win_fav = rest_win[fav]
-    if fav is Owner.P1:
-        return win_fav, win_opp, rest_strat[fav], strat_opp
-    return win_opp, win_fav, strat_opp, rest_strat[fav]
+_SOLVE, _SUB_DONE, _REST_DONE = range(3)
 
 
-def _solve_reach(g: GameGraph, target: frozenset[str]) -> SolveResult:
-    nodes = set(g.states)
-    area, astrat = _attract(nodes, g.succ, g.owner, Owner.P1, target)
-    strat1 = dict(astrat)
+def _zielonka(a: _Arena, prio: list[int]) -> _Solution:
+    """Zielonka's algorithm on an explicit work stack.
+
+    Each ``_SOLVE`` frame is one call of the recursion on a subgame with
+    least priority m, favouring player m % 2: attract to the m-states and
+    solve the rest (``_SUB_DONE`` takes over); if the opponent wins nothing
+    there the favoured player wins the whole subgame, else attract to the
+    opponent's part and solve what is left (``_REST_DONE``).  Waiting frames
+    hold only the attracted part; the subgame is the sub-solve's partition
+    plus that part, so the stack stays linear in the number of states.
+
+    Moves go into one map per player.  A frame writes only inside its own
+    subgame, and the last moves written on a winning region are the
+    recursion's strategy there, so the maps restricted to the final winning
+    regions are the recursion's strategies.
+    """
+    succ, side = a.succ, a.side
+    levels = sorted(set(prio))
+    rank = {p: i for i, p in enumerate(levels)}
+    classes: list[set[int]] = [set() for _ in levels]
+    for v, p in enumerate(prio):
+        classes[rank[p]].add(v)
+    strat: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    won: tuple[set[int], set[int]] = (set(), set())  # the last finished frame's partition
+    # A frame is (kind, priority rank, states): the subgame for _SOLVE, the
+    # fav-attractor for _SUB_DONE, the opponent's trap for _REST_DONE.
+    stack = [(_SOLVE, 0, set(range(len(prio))))]
+    while stack:
+        kind, lo, part = stack.pop()
+        if kind == _SOLVE:
+            if not part:
+                won = (set(), set())
+                continue
+            # A subgame's least priority is no lower than its parent's.
+            while part.isdisjoint(classes[lo]):
+                lo += 1
+            fav = levels[lo] & 1
+            area, sub, moves = _attract(a, part, fav, classes[lo])
+            strat[fav].update(moves)
+            stack.append((_SUB_DONE, lo, area))
+            stack.append((_SOLVE, lo + 1, sub))
+            continue
+        fav = levels[lo] & 1
+        opp = fav ^ 1
+        if kind == _REST_DONE:
+            won[opp].update(part)
+        elif won[opp]:
+            nodes = won[0] | won[1] | part
+            trap, rest, moves = _attract(a, nodes, opp, won[opp])
+            strat[opp].update(moves)
+            stack.append((_REST_DONE, lo, trap))
+            stack.append((_SOLVE, lo, rest))
+        else:
+            # The favoured player wins the whole subgame; on the m-states any
+            # move inside it does.  The sub-solve's sets are fresh, so they
+            # grow in place.
+            nodes = won[fav]
+            nodes.update(part)
+            moves = strat[fav]
+            for v in part & classes[lo]:
+                if side[v] == fav:
+                    moves[v] = next(t for t in succ[v] if t in nodes)
+    w1, w2 = won
+    s1, s2 = strat
+    return (
+        w1,
+        w2,
+        {v: s1[v] for v in sorted(s1.keys() & w1)},
+        {v: s2[v] for v in sorted(s2.keys() & w2)},
+    )
+
+
+def _solve_reach(a: _Arena, target: set[int]) -> _Solution:
+    succ, side = a.succ, a.side
+    area, rest, strat1 = _attract(a, set(range(len(a.names))), _P1, target)
     for v in sorted(target):
-        if g.owner[v] is Owner.P1:
+        if side[v] == _P1:
             # Already at the target; any continuation keeps the visit.
-            strat1[v] = g.succ(v)[0]
-    strat2 = {}
-    for v in sorted(nodes - area):
-        if g.owner[v] is Owner.P2:
-            strat2[v] = next(t for t in g.succ(v) if t not in area)
-    return SolveResult(
-        win1=frozenset(area),
-        win2=frozenset(nodes - area),
-        strat1=MemorylessStrategy(Owner.P1, strat1),
-        strat2=MemorylessStrategy(Owner.P2, strat2),
-    )
+            strat1[v] = succ[v][0]
+    strat2 = {
+        v: next(t for t in succ[v] if t not in area)
+        for v in sorted(rest)
+        if side[v] == _P2
+    }
+    return area, rest, strat1, strat2
 
 
-def _solve_safe(g: GameGraph, target: frozenset[str]) -> SolveResult:
-    nodes = set(g.states)
+def _solve_safe(a: _Arena, target: set[int]) -> _Solution:
+    succ, side = a.succ, a.side
+    nodes = set(range(len(a.names)))
     bad = nodes - target
-    area, astrat = _attract(nodes, g.succ, g.owner, Owner.P2, bad)
-    win1 = nodes - area
-    strat1 = {}
-    for v in sorted(win1):
-        if g.owner[v] is Owner.P1:
-            strat1[v] = next(t for t in g.succ(v) if t in win1)
-    strat2 = dict(astrat)
+    area, win1, strat2 = _attract(a, nodes, _P2, bad)
+    strat1 = {
+        v: next(t for t in succ[v] if t in win1)
+        for v in sorted(win1)
+        if side[v] == _P1
+    }
     for v in sorted(bad):
-        if g.owner[v] is Owner.P2:
+        if side[v] == _P2:
             # Safety is already broken here; any move does.
-            strat2[v] = g.succ(v)[0]
-    return SolveResult(
-        win1=frozenset(win1),
-        win2=frozenset(area),
-        strat1=MemorylessStrategy(Owner.P1, strat1),
-        strat2=MemorylessStrategy(Owner.P2, strat2),
-    )
+            strat2[v] = succ[v][0]
+    return win1, area, strat1, strat2
 
 
 def solve(g: GameGraph, objective: Objective) -> SolveResult:
@@ -171,17 +239,20 @@ def solve(g: GameGraph, objective: Objective) -> SolveResult:
     if not g.deterministic:
         raise ValidationError("solve: game has probabilistic states")
     objective.validate_against(g)
+    a = _compile(g)
     if objective.kind is ObjectiveKind.REACH:
-        return _solve_reach(g, objective.target)
-    if objective.kind is ObjectiveKind.SAFE:
-        return _solve_safe(g, objective.target)
-    prio = objective.as_parity(g).priority
-    w1, w2, s1, s2 = _zielonka(set(g.states), g.succ, g.owner, prio)
+        w1, w2, s1, s2 = _solve_reach(a, {a.index[s] for s in objective.target})
+    elif objective.kind is ObjectiveKind.SAFE:
+        w1, w2, s1, s2 = _solve_safe(a, {a.index[s] for s in objective.target})
+    else:
+        prio = objective.as_parity(g).priority
+        w1, w2, s1, s2 = _zielonka(a, [prio[s] for s in a.names])
+    name = a.names.__getitem__
     return SolveResult(
-        win1=frozenset(w1),
-        win2=frozenset(w2),
-        strat1=MemorylessStrategy(Owner.P1, {v: s1[v] for v in sorted(s1) if v in w1}),
-        strat2=MemorylessStrategy(Owner.P2, {v: s2[v] for v in sorted(s2) if v in w2}),
+        win1=frozenset(map(name, w1)),
+        win2=frozenset(map(name, w2)),
+        strat1=MemorylessStrategy(Owner.P1, {name(v): name(t) for v, t in s1.items()}),
+        strat2=MemorylessStrategy(Owner.P2, {name(v): name(t) for v, t in s2.items()}),
     )
 
 

@@ -70,6 +70,23 @@ def unsatisfiable_synthesis() -> SynthesisGame:
     return build_synthesis_game(g, inputs=["i"], outputs=["o"], objective=obj)
 
 
+def isolated_loops(n: int) -> tuple[GameGraph, Objective]:
+    """n isolated P1 self-loops with the even priorities 0, 2, ..., 2n-2.
+
+    Zielonka peels one loop per level, so a solver whose stack grows with
+    the recursion needs depth n here."""
+    ids = [f"q{i:04d}" for i in range(n)]
+    priority = {s: 2 * i for i, s in enumerate(ids)}
+    g = build_graph(
+        states=ids,
+        owner={s: Owner.P1 for s in ids},
+        edges=[(s, s) for s in ids],
+        priority=priority,
+        initial=ids[0],
+    )
+    return g, Objective.parity(priority)
+
+
 def strategy_space(g: GameGraph, owner: Owner) -> list[dict[str, str]]:
     owned = [s for s in g.states if g.owner[s] is owner]
     choices = [sorted(g.succ(s)) for s in owned]

@@ -15,7 +15,7 @@ from assumekit import (
     random_game,
 )
 from assumekit.fixtures import f_buchi_loop, f_coin, f_pipe, f_rcg, f_safety_escape
-from helpers import live_but_unfixable_synthesis, unsatisfiable_synthesis
+from helpers import isolated_loops, live_but_unfixable_synthesis, unsatisfiable_synthesis
 
 
 @pytest.fixture
@@ -271,3 +271,22 @@ class TestReportEnvelope:
         assert report["command"] == f"assume {path} --mode safety"
         assert report["seed"] is None
         int(report["input_digest"], 16)
+
+    def test_unexpected_exception_exits_3(self, run, game_file, monkeypatch):
+        def boom(args):
+            raise RuntimeError("kaboom")
+
+        monkeypatch.setattr(cli, "cmd_solve", boom)
+        path = game_file("esc.json", f_safety_escape)
+        code, out, err = run("solve", path)
+        assert code == 3 and out == ""
+        assert err == "assumekit: internal error: RuntimeError: kaboom\n"
+
+    def test_deep_self_loops_solve(self, run, tmp_path):
+        # 1,200 isolated P1 self-loops, even priorities: the recursive solver
+        # overflowed the interpreter stack here.
+        p = tmp_path / "loops.json"
+        p.write_text(dump_game(*isolated_loops(1200)))
+        code, out, err = run("solve", str(p))
+        assert code == 0 and err == ""
+        assert len(payload_of(out)["win1"]) == 1200

@@ -17,6 +17,7 @@ from assumekit import (
 from assumekit.fixtures import f_buchi_loop, f_coin, f_pipe, f_safety_escape
 from helpers import (
     brute_partition,
+    isolated_loops,
     seeded_objective,
     strategy_loses_everywhere,
     strategy_wins_everywhere,
@@ -123,6 +124,16 @@ class TestSolveAgainstBruteForce:
             assert again.win1 == first.win1
             assert dict(again.strat1.choice) == dict(first.strat1.choice)
             assert dict(again.strat2.choice) == dict(first.strat2.choice)
+
+
+class TestDeepInputs:
+    @pytest.mark.parametrize("n", [1200, 3000])
+    def test_isolated_self_loops(self, n):
+        # One Zielonka level per loop; runs under the default recursion limit.
+        g, obj = isolated_loops(n)
+        res = solve(g, obj)
+        assert res.win1 == frozenset(g.states)
+        assert dict(res.strat1.choice) == {s: s for s in g.states}
 
 
 class TestCooperativeWin:
