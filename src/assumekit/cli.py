@@ -74,7 +74,11 @@ def _read(path: str) -> tuple[str, str]:
             raw = fh.read()
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from None
-    return raw.decode("utf-8"), _digest(raw)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return text, _digest(raw)
 
 
 def _parse_edges(text: str) -> list[Edge]:

@@ -23,8 +23,9 @@ from .game import (
     Objective,
     Owner,
     build_graph,
+    check_p2_edges,
 )
-from .graphs import fresh_id, reachable
+from .graphs import fresh_id, reachable, tarjan_scc
 from .solvers import cooperative_win, solve
 from .stochastic import almost_sure_parity
 
@@ -33,16 +34,6 @@ from .stochastic import almost_sure_parity
 class FairAssumption:
     edges: frozenset[Edge]
     winning_from: frozenset[str]
-
-
-def _check_fair_edges(g: GameGraph, fair: Iterable[Edge]) -> list[Edge]:
-    out = sorted(set(fair))
-    for u, v in out:
-        if (u, v) not in g.edges:
-            raise ValidationError(f"fair edge ({u!r}, {v!r}) is not an edge")
-        if g.owner[u] is not Owner.P2:
-            raise ValidationError(f"fair edge ({u!r}, {v!r}) must leave a player-2 state")
-    return out
 
 
 def ass_red(
@@ -61,7 +52,7 @@ def ass_red(
     """
     if not g.deterministic:
         raise ValidationError("ass_red: game already has probabilistic states")
-    fair_edges = _check_fair_edges(g, fair)
+    fair_edges = check_p2_edges(g, fair, "fair")
     for s in g.states:
         if s not in priority:
             raise ValidationError(f"state {s!r}: no priority assigned")
@@ -126,7 +117,7 @@ def assume_fair_win(
     """Player-1 sure-winning set of AssumeFair(fair, objective), with a
     memoryless strategy, via the probabilistic reduction."""
     prio = _parity_map(g, objective)
-    fair_edges = _check_fair_edges(g, fair)
+    fair_edges = check_p2_edges(g, fair, "fair")
     if not fair_edges:
         res = solve(g, Objective.parity(prio))
         return res.win1, res.strat1
@@ -136,18 +127,6 @@ def assume_fair_win(
     win = frozenset(win_red & original)
     choice = {s: t for s, t in strat_red.choice.items() if s in win}
     return win, MemorylessStrategy(Owner.P1, choice)
-
-
-def _strongly_connected(nodes: frozenset[str], succ: Mapping[str, tuple[str, ...]]) -> bool:
-    inside = {s: [t for t in succ[s] if t in nodes] for s in nodes}
-    first = min(nodes)
-    if reachable([first], inside) != nodes:
-        return False
-    rev: dict[str, list[str]] = {s: [] for s in nodes}
-    for s, ts in inside.items():
-        for t in ts:
-            rev[t].append(s)
-    return reachable([first], rev) == nodes
 
 
 def oracle_assume_fair(
@@ -170,7 +149,7 @@ def oracle_assume_fair(
     if s not in g.owner:
         raise ValidationError(f"unknown state {s!r}")
     prio = _parity_map(g, objective)
-    fair_edges = _check_fair_edges(g, fair)
+    fair_edges = check_p2_edges(g, fair, "fair")
 
     p1 = g.states_of(Owner.P1)
     for picks in product(*(g.succ(q) for q in p1)):
@@ -204,7 +183,7 @@ def _has_fair_losing_loop(
                 u = combo[0]
                 if u not in succ[u]:
                     continue
-            elif not _strongly_connected(z, succ):
+            elif len(tarjan_scc(sorted(z), succ)) != 1:
                 continue
             return True
     return False
@@ -230,29 +209,24 @@ def locally_minimal_fair(
     Starts from all candidate edges (default: every player-2 edge).  If even
     those do not suffice no subset can, by monotonicity, and the result is
     None; callers distinguish non-live states via :func:`is_live`.  Otherwise
-    edges are repeatedly scanned in lexicographic order and the first one
-    whose removal keeps ``s`` winning is dropped, until no removal succeeds.
-    The result is locally minimal: every proper subset loses.
+    the edges are scanned once in lexicographic order and each one whose
+    removal keeps ``s`` winning is dropped.  Winning is monotone in the fair
+    set, so an edge that could not be dropped stays undroppable as later
+    edges go, and the result is locally minimal: every proper subset loses.
     """
     if s not in g.owner:
         raise ValidationError(f"unknown state {s!r}")
     if candidates is None:
         current = list(g.player2_edges())
     else:
-        current = _check_fair_edges(g, candidates)
+        current = check_p2_edges(g, candidates, "fair")
 
     win, _ = assume_fair_win(g, objective, current)
     if s not in win:
         return None
-    removed_one = True
-    while removed_one:
-        removed_one = False
-        for e in list(current):
-            trial = [x for x in current if x != e]
-            win, _ = assume_fair_win(g, objective, trial)
-            if s in win:
-                current = trial
-                removed_one = True
-                break
-    final_win, _ = assume_fair_win(g, objective, current)
-    return FairAssumption(edges=frozenset(current), winning_from=final_win)
+    for e in list(current):
+        trial = [x for x in current if x != e]
+        trial_win, _ = assume_fair_win(g, objective, trial)
+        if s in trial_win:
+            current, win = trial, trial_win
+    return FairAssumption(edges=frozenset(current), winning_from=win)

@@ -150,8 +150,9 @@ def build_graph(
                 raise ValidationError(
                     f"state {s!r}: weights sum to {sum(row.values())}, expected 1"
                 )
-            succ = {v for u, v in edge_set if u == s}
-            if support != succ:
+            # support == successors: a subset of the same size, no edge scan
+            if len(support) != out_deg[s] or any((s, t) not in edge_set for t in support):
+                succ = {v for u, v in edge_set if u == s}
                 raise ValidationError(
                     f"state {s!r}: distribution support {sorted(support)} "
                     f"!= outgoing edges {sorted(succ)}"
@@ -185,6 +186,18 @@ def build_graph(
         label=label_map,
         initial=initial,
     )
+
+
+def check_p2_edges(g: GameGraph, edges: Iterable[Edge], what: str) -> list[Edge]:
+    """Validate a set of player-2 edges of ``g``; returns it sorted.
+    ``what`` names the set in error messages ("fair", "forbidden", ...)."""
+    out = sorted(set(edges))
+    for u, v in out:
+        if (u, v) not in g.edges:
+            raise ValidationError(f"{what} edge ({u!r}, {v!r}) is not an edge")
+        if g.owner[u] is not Owner.P2:
+            raise ValidationError(f"{what} edge ({u!r}, {v!r}) must leave a player-2 state")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -612,11 +625,11 @@ def _fraction_to_str(w: Fraction) -> str:
     return f"{w.numerator}/{w.denominator}"
 
 
-def _fraction_from_str(text: str, where: str) -> Fraction:
+def _weight_from_json(raw: object, where: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"{where}: bad weight {text!r} ({exc})") from None
+        return Fraction(raw)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise FormatError(f"{where}: bad weight {raw!r} ({exc})") from None
 
 
 def _objective_to_json(obj: Objective) -> dict:
@@ -642,10 +655,13 @@ def _objective_from_json(raw: dict, g: GameGraph) -> Objective:
             prio = dict(g.priority)
         if not isinstance(prio, dict):
             raise FormatError("objective.priorities: expected an object")
-        obj = Objective.parity(prio)
+        try:
+            obj = Objective.parity(prio)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"objective.priorities: {exc}") from None
     else:
         target = raw.get("target")
-        if not isinstance(target, list):
+        if not isinstance(target, list) or not all(isinstance(s, str) for s in target):
             raise FormatError("objective.target: expected a list of state ids")
         obj = Objective(kind, frozenset(target))
     obj.validate_against(g)
@@ -696,8 +712,12 @@ def parse_game_file(text: str) -> tuple[GameGraph | SynthesisGame, Objective | N
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise FormatError("top level: nesting too deep") from None
     if not isinstance(doc, dict):
         raise FormatError("top level: expected an object")
+    if doc.get("initial") is not None and not isinstance(doc["initial"], str):
+        raise FormatError("initial: expected a state id")
     if "states" not in doc or not isinstance(doc["states"], list) or not doc["states"]:
         raise FormatError("states: expected a nonempty list")
 
@@ -733,19 +753,19 @@ def parse_game_file(text: str) -> tuple[GameGraph | SynthesisGame, Objective | N
         raise FormatError("edges: expected a list")
     edges: list[Edge] = []
     for i, pair in enumerate(doc["edges"]):
-        if not isinstance(pair, list) or len(pair) != 2:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and isinstance(pair[1], str)):
             raise FormatError(f"edges[{i}]: expected a [src, dst] pair")
         edges.append((pair[0], pair[1]))
 
+    raw_dist = doc.get("dist") or {}
+    if not isinstance(raw_dist, dict):
+        raise FormatError("dist: expected an object")
     dist: dict[str, dict[str, Fraction]] = {}
-    for s, row in (doc.get("dist") or {}).items():
+    for s, row in raw_dist.items():
         if not isinstance(row, dict):
             raise FormatError(f"dist[{s!r}]: expected an object")
-        dist[s] = {
-            t: _fraction_from_str(w, f"dist[{s!r}][{t!r}]") if isinstance(w, str)
-            else Fraction(w)
-            for t, w in row.items()
-        }
+        dist[s] = {t: _weight_from_json(w, f"dist[{s!r}][{t!r}]") for t, w in row.items()}
 
     try:
         graph = build_graph(
@@ -768,7 +788,8 @@ def parse_game_file(text: str) -> tuple[GameGraph | SynthesisGame, Objective | N
         if objective is None:
             raise FormatError("synthesis game: missing objective")
         for key in ("inputs", "outputs"):
-            if not isinstance(doc.get(key), list):
+            props = doc.get(key)
+            if not isinstance(props, list) or not all(isinstance(p, str) for p in props):
                 raise FormatError(f"{key}: expected a list of proposition names")
         try:
             sg = build_synthesis_game(graph, doc["inputs"], doc["outputs"], objective)

@@ -4,11 +4,22 @@ All functions take explicit node and successor collections instead of game
 objects so they can run on induced subgraphs, product constructions and
 reduction outputs alike.  Everything is deterministic: nodes are processed
 in the order given and successors in sorted order.
+
+Every "is there a good cycle?" question goes through one SCC-refinement
+kernel, :func:`good_components`, the classic fair-cycle and Streett
+emptiness check (Emerson & Lei, SCP 1987; Friedmann & Lange, ATVA 2009).
+It decomposes node lists from a work stack with :func:`tarjan_scc` and
+skips trivial components (one node, no self-loop).  The caller's ``drop``
+rule names the members of a component that cannot lie on a good cycle in
+it: none accepts the component, otherwise the rest goes back on the stack.
+The rules in use: parity deletes the least priority while it is odd, so the
+rounds follow the distinct priorities, not their values; Safe deletes
+nothing; emptiness deletes the states whose fair edges leave the component.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 
 def fresh_id(base: str, used: set[str]) -> str:
@@ -124,12 +135,23 @@ def tarjan_scc(nodes: Sequence[str], succ: Mapping[str, Sequence[str]]) -> list[
     return components
 
 
-def has_internal_edge(comp: Sequence[str], succ: Mapping[str, Sequence[str]]) -> bool:
-    """True when the component carries at least one edge of its own, i.e. it
-    contains a cycle (multi-node components always do; singletons need a
-    self-loop)."""
-    comp_set = set(comp)
-    if len(comp_set) > 1:
-        return True
-    u = next(iter(comp_set))
-    return u in succ.get(u, ())
+def good_components(
+    nodes: Sequence[str],
+    succ: Mapping[str, Sequence[str]],
+    drop: Callable[[list[str]], Iterable[str]],
+) -> set[str]:
+    """Union of the components accepted by ``drop``, which gets each
+    non-trivial SCC (members sorted) and returns the members to delete from
+    it; an empty result accepts it.  Iterative, see the module docstring."""
+    good: set[str] = set()
+    work = [list(nodes)]
+    while work:
+        for comp in tarjan_scc(work.pop(), succ):
+            if len(comp) == 1 and comp[0] not in succ.get(comp[0], ()):
+                continue
+            bad = set(drop(comp))
+            if not bad:
+                good.update(comp)
+            else:
+                work.append([u for u in comp if u not in bad])
+    return good

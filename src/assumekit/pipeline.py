@@ -38,6 +38,7 @@ from .game import (
     SynthesisGame,
     all_letters,
     build_graph,
+    check_p2_edges,
     dump_game,
     induced_structure,
     letter_key,
@@ -45,7 +46,7 @@ from .game import (
     parse_game_file,
     to_dot,
 )
-from .graphs import fresh_id, has_internal_edge, reachable, tarjan_scc
+from .graphs import fresh_id, good_components, reachable
 from .safety import (
     SafetyAssumption,
     TransformResult,
@@ -68,15 +69,8 @@ class AssumptionAutomaton:
     fair: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        g = self.base.graph
-        for name, group in (("forbidden", self.forbidden), ("fair", self.fair)):
-            for u, v in sorted(group):
-                if (u, v) not in g.edges:
-                    raise ValidationError(f"{name} edge ({u!r}, {v!r}) is not an edge")
-                if g.owner[u] is not Owner.P2:
-                    raise ValidationError(
-                        f"{name} edge ({u!r}, {v!r}) must leave a player-2 state"
-                    )
+        check_p2_edges(self.base.graph, self.forbidden, "forbidden")
+        check_p2_edges(self.base.graph, self.fair, "fair")
         overlap = self.forbidden & self.fair
         if overlap:
             u, v = min(overlap)
@@ -134,9 +128,9 @@ def is_empty(a: AssumptionAutomaton) -> bool:
 
     A granted word needs a reachable loop, in the graph pruned of forbidden
     edges, that contains every fair edge rooted at one of its states.  Such
-    a loop lives inside a single strongly connected chunk, so the check
-    discards, per component, the states whose fair edges escape it and
-    recurses on the rest.
+    a loop lives inside a single strongly connected component, so SCC
+    refinement deletes, per component, the states whose fair edges escape
+    it, and the automaton is empty iff no component is left accepted.
     """
     g = a.base.graph
     succ = {
@@ -148,22 +142,11 @@ def is_empty(a: AssumptionAutomaton) -> bool:
     for u, t in sorted(a.fair):
         fair_out.setdefault(u, []).append(t)
 
-    def good(nodes: list[str]) -> bool:
-        for comp in tarjan_scc(nodes, succ):
-            comp_set = set(comp)
-            if not has_internal_edge(comp, succ):
-                continue
-            bad = {
-                u for u in comp
-                if any(t not in comp_set for t in fair_out.get(u, ()))
-            }
-            if not bad:
-                return True
-            if good([u for u in comp if u not in bad]):
-                return True
-        return False
+    def escaping(comp: list[str]) -> list[str]:
+        comp_set = set(comp)
+        return [u for u in comp if any(t not in comp_set for t in fair_out.get(u, ()))]
 
-    return not good(sorted(reach))
+    return not good_components(sorted(reach), succ, escaping)
 
 
 @dataclass(frozen=True)

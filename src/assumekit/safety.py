@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
-from .game import Edge, GameGraph, Objective, ObjectiveKind, Owner, build_graph
+from .game import Edge, GameGraph, Objective, ObjectiveKind, Owner, build_graph, check_p2_edges
 from .graphs import fresh_id, reachable
 from .solvers import cooperative_win, solve
 
@@ -34,16 +34,6 @@ class TransformResult:
     graph: GameGraph
     objective: Objective
     sink: str
-
-
-def _check_candidate(g: GameGraph, cand: Iterable[Edge]) -> list[Edge]:
-    out = sorted(set(cand))
-    for u, v in out:
-        if (u, v) not in g.edges:
-            raise ValidationError(f"candidate edge ({u!r}, {v!r}) is not an edge")
-        if g.owner[u] is not Owner.P2:
-            raise ValidationError(f"candidate edge ({u!r}, {v!r}) must leave a player-2 state")
-    return out
 
 
 def _redirect(g: GameGraph, forbidden: list[Edge]) -> tuple[GameGraph, str]:
@@ -83,7 +73,7 @@ def assume_safe_transform(
     """Redirect every forbidden edge to a fresh player-1 sink that satisfies
     the relaxed objective outright: traversing a forbidden edge becomes an
     immediate win for player 1, everything else is judged as before."""
-    forb = _check_candidate(g, forbidden)
+    forb = check_p2_edges(g, forbidden, "candidate")
     graph, sink = _redirect(g, forb)
     if objective.parity_class:
         prio = dict(objective.as_parity(g).priority)
@@ -118,7 +108,7 @@ def is_restrictive(
     would cut genuinely useful environment behavior."""
     if s not in g.owner:
         raise ValidationError(f"unknown state {s!r}")
-    cand_edges = _check_candidate(g, cand)
+    cand_edges = check_p2_edges(g, cand, "candidate")
     region = cooperative_win(g, objective)
     if s not in region:
         return False
@@ -126,12 +116,7 @@ def is_restrictive(
     reach_s = reachable([s], inside)
     # States that can prolong a play inside the region forever; for
     # prefix-independent objectives this is the whole region.
-    core = set(region)
-    while True:
-        keep = {u for u in core if any(t in core for t in inside[u])}
-        if keep == core:
-            break
-        core = keep
+    core = cooperative_win(g, Objective.safe(region))
     return any(u in reach_s and v in core for u, v in cand_edges)
 
 
@@ -140,13 +125,13 @@ def env_can_avoid(g: GameGraph, forbidden: Iterable[Edge], s: str) -> bool:
     (player 1 steers, but the forbidden edges belong to player 2)."""
     if s not in g.owner:
         raise ValidationError(f"unknown state {s!r}")
-    forb = _check_candidate(g, forbidden)
+    forb = check_p2_edges(g, forbidden, "candidate")
     graph, sink = _redirect(g, forb)
     return s in solve(graph, Objective.reach({sink})).win2
 
 
 def avoid_region(g: GameGraph, forbidden: Iterable[Edge]) -> frozenset[str]:
     """All states from which player 2 can forever avoid the forbidden edges."""
-    forb = _check_candidate(g, forbidden)
+    forb = check_p2_edges(g, forbidden, "candidate")
     graph, sink = _redirect(g, forb)
     return solve(graph, Objective.reach({sink})).win2

@@ -35,7 +35,7 @@ from .game import (
     ObjectiveKind,
     Owner,
 )
-from .graphs import backward_reachable, has_internal_edge, tarjan_scc
+from .graphs import backward_reachable, good_components
 
 # Integer owners: a parity favours player ``priority % 2``.
 _P1, _P2 = 0, 1
@@ -260,9 +260,11 @@ def cooperative_win(g: GameGraph, objective: Objective) -> frozenset[str]:
     """States from which the two players together can satisfy the objective.
 
     One-player analysis: ownership is irrelevant, only the edge relation
-    matters.  For parity-class objectives a state qualifies iff it reaches a
-    cycle whose minimal priority is even; per even priority k this is an SCC
-    question on the subgraph of priorities >= k.
+    matters.  A state qualifies iff it reaches a good cycle: for Safe, a
+    cycle inside the target, reached inside it; for parity-class objectives,
+    a cycle whose minimal priority is even, found by deleting a component's
+    least priority while it is odd (cost grows with the number of distinct
+    priorities, not their values).
     """
     if not g.deterministic:
         raise ValidationError("cooperative_win: game has probabilistic states")
@@ -272,19 +274,13 @@ def cooperative_win(g: GameGraph, objective: Objective) -> frozenset[str]:
     if objective.kind is ObjectiveKind.REACH:
         return frozenset(backward_reachable(objective.target, nodes, succ))
     if objective.kind is ObjectiveKind.SAFE:
-        core = set(objective.target)
-        while True:
-            keep = {s for s in core if any(t in core for t in succ[s])}
-            if keep == core:
-                return frozenset(core)
-            core = keep
+        inside = sorted(objective.target)
+        loops = good_components(inside, succ, lambda comp: ())
+        return frozenset(backward_reachable(loops, inside, succ))
     prio = objective.as_parity(g).priority
-    good: set[str] = set()
-    for k in range(0, max(prio.values()) + 1, 2):
-        high = [s for s in nodes if prio[s] >= k]
-        high_set = set(high)
-        sub = {s: [t for t in succ[s] if t in high_set] for s in high}
-        for comp in tarjan_scc(high, sub):
-            if has_internal_edge(comp, sub) and any(prio[s] == k for s in comp):
-                good.update(comp)
-    return frozenset(backward_reachable(good, nodes, succ))
+
+    def odd_least(comp: list[str]) -> list[str]:
+        least = min(prio[s] for s in comp)
+        return [s for s in comp if prio[s] == least] if least % 2 else []
+
+    return frozenset(backward_reachable(good_components(nodes, succ, odd_least), nodes, succ))

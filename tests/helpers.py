@@ -4,12 +4,15 @@ Everything here is independent of the solver implementations: memoryless
 strategy pairs are enumerated, the unique play under a fixed pair is
 simulated step by step, and the objective is evaluated on the resulting
 lasso.  Agreement with the library is then evidence, not circularity.
-Only usable on small deterministic games.
+Only usable on small deterministic games.  ``sparse_game`` draws the
+seeded large games that the differential tests run.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
+from random import Random
 
 from assumekit import (
     GameGraph,
@@ -221,3 +224,32 @@ def seeded_confinable_objective(g: GameGraph, pick: int) -> Objective:
     if kind == 2:
         return Objective.cobuchi(ids[: max(1, 2 * len(ids) // 3)])
     return Objective.parity(dict(g.priority))
+
+
+def sparse_game(rng: Random, n: int, priorities: int, prob_fraction: float = 0.0) -> GameGraph:
+    """Out-degree 1 to 3; unpadded ids so index order differs from numeric
+    order (s10 sorts before s2)."""
+    ids = [f"s{i}" for i in range(n)]
+    owner = {}
+    for s in ids:
+        if rng.random() < prob_fraction:
+            owner[s] = Owner.PROB
+        else:
+            owner[s] = Owner.P1 if rng.random() < 0.5 else Owner.P2
+    edges = {(s, ids[rng.randrange(n)]) for s in ids for _ in range(rng.randint(1, 3))}
+    succ: dict[str, list[str]] = {s: [] for s in ids}
+    for u, v in sorted(edges):
+        succ[u].append(v)
+    dist = {
+        s: {t: Fraction(1, len(succ[s])) for t in succ[s]}
+        for s in ids
+        if owner[s] is Owner.PROB
+    }
+    return build_graph(
+        states=ids,
+        owner=owner,
+        edges=sorted(edges),
+        dist=dist,
+        priority={s: rng.randrange(priorities) for s in ids},
+        initial=ids[0],
+    )

@@ -91,6 +91,43 @@ class TestSolve:
         assert code == 2 and out == ""
         assert err.startswith("assumekit:")
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"[" * 200_000, "nesting too deep"),
+            (b'{"states": [{"id": "a", "owner": "P1"}], "edges": [[["x"], "a"]]}',
+             "edges[0]: expected a [src, dst] pair"),
+            (b'{"states": [{"id": "a", "owner": "P1"}], "edges": [["a", "a"]], "dist": [1]}',
+             "dist: expected an object"),
+            (b'{"states": [{"id": "a", "owner": "PROB"}], "edges": [["a", "a"]],'
+             b' "dist": {"a": {"a": [1]}}}',
+             "bad weight [1]"),
+            (b'{"states": "\xff\xfe"}', "not UTF-8 text"),
+            (b'{"states": [{"id": "a", "owner": "P1"}], "edges": [["a", "a"]], "initial": ["a"]}',
+             "initial: expected a state id"),
+            (b'{"states": [{"id": "a", "owner": "P1"}], "edges": [["a", "a"]],'
+             b' "objective": {"kind": "Safe", "target": [["a"]]}}',
+             "objective.target: expected a list of state ids"),
+            (b'{"states": [{"id": "a", "owner": "P1"}], "edges": [["a", "a"]],'
+             b' "objective": {"kind": "Parity", "priorities": {"a": "x"}}}',
+             "objective.priorities: invalid literal"),
+            (b'{"states": [{"id": "a", "owner": "P1"}], "edges": [["a", "a"]], "initial": "a",'
+             b' "objective": {"kind": "Buchi", "target": ["a"]}, "inputs": [["x"]], "outputs": []}',
+             "inputs: expected a list of proposition names"),
+        ],
+        ids=[
+            "deep-nesting", "list-endpoint", "dist-list", "list-weight", "bad-bytes",
+            "list-initial", "list-target", "word-priority", "list-proposition",
+        ],
+    )
+    def test_malformed_file_exits_2(self, run, tmp_path, raw, message):
+        p = tmp_path / "bad.json"
+        p.write_bytes(raw)
+        code, out, err = run("solve", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("assumekit: ") and message in err
+        assert "internal error" not in err and "Traceback" not in err
+
     def test_file_without_objective(self, run, tmp_path):
         g = random_game(4, 0.4, 3, seed=1)
         p = tmp_path / "bare.json"

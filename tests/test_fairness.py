@@ -25,6 +25,7 @@ from assumekit import (
 )
 from assumekit.fixtures import f_buchi_loop, f_coin, f_pipe
 from helpers import build_graph, live_but_unfixable_game
+from reference_fair import reference_locally_minimal_fair
 
 
 def parity_family_objective(g, pick):
@@ -309,3 +310,17 @@ class TestLocallyMinimalFair:
                 continue
             win, _ = assume_fair_win(g, obj, g.player2_edges())
             assert s in win
+
+    def test_one_pass_matches_restart_scan(self):
+        removals = 0
+        for seed in range(60):
+            g = random_game(5 + seed % 4, 0.4, 3, seed=1000 + seed)
+            obj = parity_family_objective(g, seed)
+            p2 = g.player2_edges()
+            cands = None if seed % 3 else p2[::2]
+            for s in g.states[:3]:
+                fa = locally_minimal_fair(g, obj, s, candidates=cands)
+                assert fa == reference_locally_minimal_fair(g, obj, s, candidates=cands), seed
+                if fa is not None:
+                    removals += len(cands if cands is not None else p2) - len(fa.edges)
+        assert removals >= 50

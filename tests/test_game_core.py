@@ -95,6 +95,17 @@ class TestBuildGraph:
                 edges=[("a", "a"), ("a", "b"), ("b", "b")],
                 dist={"a": {"a": Fraction(1)}},
             )
+        # Same size, different states.
+        with pytest.raises(ValidationError) as exc:
+            build_graph(
+                states=["a", "b"],
+                owner={"a": "PROB", "b": "P1"},
+                edges=[("a", "b"), ("b", "b")],
+                dist={"a": {"a": Fraction(1)}},
+            )
+        assert str(exc.value) == (
+            "state 'a': distribution support ['a'] != outgoing edges ['b']"
+        )
 
     def test_dist_must_sum_to_one(self):
         with pytest.raises(ValidationError, match="sum"):

@@ -10,7 +10,6 @@ callers (CLI payloads, frozen test values) rely on that.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from random import Random
 
 from hypothesis import given, settings
@@ -27,6 +26,7 @@ from assumekit import (
     random_game,
     solve,
 )
+from helpers import sparse_game
 from reference_solver import (
     reference_almost_sure_parity,
     reference_attractor,
@@ -61,35 +61,6 @@ def _assert_same_everywhere(g: GameGraph, rng: Random) -> None:
     for player in (Owner.P1, Owner.P2):
         target = {s for s in g.states if rng.random() < 0.2}
         assert attractor(g, player, target) == reference_attractor(g, player, target)
-
-
-def sparse_game(rng: Random, n: int, priorities: int, prob_fraction: float = 0.0) -> GameGraph:
-    """Out-degree 1 to 3; unpadded ids so index order differs from numeric
-    order (s10 sorts before s2)."""
-    ids = [f"s{i}" for i in range(n)]
-    owner = {}
-    for s in ids:
-        if rng.random() < prob_fraction:
-            owner[s] = Owner.PROB
-        else:
-            owner[s] = Owner.P1 if rng.random() < 0.5 else Owner.P2
-    edges = {(s, ids[rng.randrange(n)]) for s in ids for _ in range(rng.randint(1, 3))}
-    succ: dict[str, list[str]] = {s: [] for s in ids}
-    for u, v in sorted(edges):
-        succ[u].append(v)
-    dist = {
-        s: {t: Fraction(1, len(succ[s])) for t in succ[s]}
-        for s in ids
-        if owner[s] is Owner.PROB
-    }
-    return build_graph(
-        states=ids,
-        owner=owner,
-        edges=sorted(edges),
-        dist=dist,
-        priority={s: rng.randrange(priorities) for s in ids},
-        initial=ids[0],
-    )
 
 
 class TestSeeded:
