@@ -173,11 +173,13 @@ def gen_3sat_game(f: Cnf) -> ThreeSatGame:
                 succ.append(pad)
         edges.extend((f"c{m}", t) for t in succ)
 
-    graph = build_graph(
-        states=states,
+    graph = GameGraph(
+        states=tuple(sorted(states)),
         owner=owner,
-        edges=edges,
+        edges=frozenset(edges),
+        dist={},
         priority={s: 0 if s == "B" else 1 for s in states},
+        label=dict.fromkeys(states, frozenset()),
         initial=_grid_id(1, 1),
     )
     return ThreeSatGame(

@@ -349,17 +349,23 @@ def main(argv: list[str] | None = None) -> int:
         print(f"assumekit: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
-    if dot is not None:
-        sys.stdout.write(dot)
-        return 0
-    report = {
-        "command": " ".join(argv),
-        "input_digest": digest,
-        "payload": payload,
-        "seed": seed,
-        "timing_ms": elapsed_ms,
-    }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    text = dot
+    if text is None:
+        report = {
+            "command": " ".join(argv),
+            "input_digest": digest,
+            "payload": payload,
+            "seed": seed,
+            "timing_ms": elapsed_ms,
+        }
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (``| head``): not an error.  Later flushes,
+        # the interpreter's final one included, go to devnull.
+        sys.stdout = open(os.devnull, "w")
     return 0
 
 

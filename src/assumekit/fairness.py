@@ -22,8 +22,8 @@ from .game import (
     MemorylessStrategy,
     Objective,
     Owner,
-    build_graph,
     check_p2_edges,
+    check_priorities,
 )
 from .graphs import fresh_id, reachable, tarjan_scc
 from .solvers import cooperative_win, solve
@@ -53,34 +53,26 @@ def ass_red(
     if not g.deterministic:
         raise ValidationError("ass_red: game already has probabilistic states")
     fair_edges = check_p2_edges(g, fair, "fair")
-    for s in g.states:
-        if s not in priority:
-            raise ValidationError(f"state {s!r}: no priority assigned")
+    check_priorities(g, priority)
+    prio = {s: priority[s] for s in g.states}
 
     fair_out: dict[str, list[str]] = {}
     for u, v in fair_edges:
         fair_out.setdefault(u, []).append(v)
     if not fair_out:
-        return g, {s: priority[s] for s in g.states}
+        return g, prio
 
     used = set(g.states)
-    states = list(g.states)
-    owner = {s: g.owner[s] for s in g.states}
-    prio = {s: priority[s] for s in g.states}
-    label = {s: g.label[s] for s in g.states}
-    edges: list[Edge] = []
+    owner = dict(g.owner)
+    label = dict(g.label)
+    edges = [e for e in g.edges if e[0] not in fair_out]
     dist: dict[str, dict[str, Fraction]] = {}
 
-    for s in g.states:
-        if s not in fair_out:
-            edges.extend((s, t) for t in g.succ(s))
-            continue
-        has_unfair = any(t not in set(fair_out[s]) for t in g.succ(s))
+    # Sources in sorted order, so copies get their ids in state order.
+    for s, support in fair_out.items():
         owner[s] = Owner.PROB
-        support = sorted(fair_out[s])
-        if has_unfair:
+        if len(support) < len(g.succ(s)):
             copy = fresh_id(f"{s}~", used)
-            states.append(copy)
             owner[copy] = Owner.P2
             prio[copy] = priority[s]
             label[copy] = g.label[s]
@@ -90,10 +82,10 @@ def ass_red(
         dist[s] = {t: w for t in support}
         edges.extend((s, t) for t in support)
 
-    graph = build_graph(
-        states=states,
+    graph = GameGraph(
+        states=tuple(sorted(used)),
         owner=owner,
-        edges=edges,
+        edges=frozenset(edges),
         dist=dist,
         priority=prio,
         label=label,

@@ -19,6 +19,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
@@ -49,13 +50,36 @@ def letter_key(letter: Letter) -> tuple[str, ...]:
     return tuple(sorted(letter))
 
 
+# Integer owners of an arena: a parity favours player ``priority % 2``.
+_P1, _P2 = 0, 1
+_SIDE = {Owner.P1: _P1, Owner.P2: _P2, Owner.PROB: 2}
+
+
+@dataclass(frozen=True)
+class _Arena:
+    """A game as integer arrays for the kernels; index i is the i-th id of
+    ``names``, the sorted states, so index order is lexicographic order."""
+
+    names: tuple[str, ...]
+    index: dict[str, int]
+    succ: list[tuple[int, ...]]  # sorted
+    pred: list[list[int]]  # sorted
+    side: list[int]  # _P1, _P2, or 2 for probabilistic states
+
+
 @dataclass(frozen=True)
 class GameGraph:
     """Directed game graph with an ownership partition.
 
-    ``dist`` is present exactly for PROB-owned states and its support equals
-    the outgoing edges.  ``priority`` and ``label`` are total maps (defaulted
-    to 0 and the empty letter by :func:`build_graph`).
+    The constructor checks nothing: ``states`` is sorted, ``owner`` maps
+    each state to an :class:`Owner`, no state is a dead end, ``dist`` holds
+    exactly the PROB states, each a row of positive ``Fraction`` weights
+    summing to 1 over its successors, sorted by target, and ``priority``
+    and ``label`` are total maps to naturals and frozensets.  :func:`build_graph`
+    establishes this for data from outside; transforms of a valid graph
+    build such fields themselves.  The successor tuples are derived on
+    construction, the kernels' integer arena on first use, and both are
+    cached with the graph.
     """
 
     states: tuple[str, ...]
@@ -71,25 +95,40 @@ class GameGraph:
 
     def __post_init__(self) -> None:
         succ: dict[str, list[str]] = {s: [] for s in self.states}
-        for u, v in sorted(self.edges):
+        for u, v in self.edges:
             succ[u].append(v)
-        object.__setattr__(self, "_succ", {s: tuple(ts) for s, ts in succ.items()})
+        object.__setattr__(self, "_succ", {s: tuple(sorted(ts)) for s, ts in succ.items()})
+
+    @cached_property
+    def _arena(self) -> _Arena:
+        names = self.states
+        index = {s: i for i, s in enumerate(names)}
+        at = index.__getitem__
+        succ = [tuple(map(at, self._succ[s])) for s in names]
+        pred: list[list[int]] = [[] for _ in names]
+        for u, ts in enumerate(succ):
+            for t in ts:
+                pred[t].append(u)
+        return _Arena(names, index, succ, pred, [_SIDE[self.owner[s]] for s in names])
 
     def succ(self, s: str) -> tuple[str, ...]:
         return self._succ[s]
 
     @property
     def deterministic(self) -> bool:
-        return not any(self.owner[s] is Owner.PROB for s in self.states)
+        return not self.dist
 
     def states_of(self, owner: Owner) -> tuple[str, ...]:
         return tuple(s for s in self.states if self.owner[s] is owner)
 
     def player2_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e in sorted(self.edges) if self.owner[e[0]] is Owner.P2)
+        return tuple((s, t) for s in self.states_of(Owner.P2) for t in self._succ[s])
 
-    def succ_map(self) -> Mapping[str, tuple[str, ...]]:
-        return self._succ
+
+def _is_priority(p: object) -> bool:
+    """The one rule for a priority, of a state or in an objective: an int
+    that is not a bool and is at least 0."""
+    return isinstance(p, int) and not isinstance(p, bool) and p >= 0
 
 
 def build_graph(
@@ -101,11 +140,12 @@ def build_graph(
     label: Mapping[str, Iterable[str]] | None = None,
     initial: str | None = None,
 ) -> GameGraph:
-    """Normalize, validate and freeze a game graph.
+    """Validate, normalise and freeze a game graph given from outside.
 
-    This is the single constructor used by parsers, generators and graph
-    transformations alike, so every graph in the system satisfies the same
-    invariants: total ownership, no dead ends, dist support = edges.
+    Parsers, generators, fixtures and user code build graphs here; it
+    establishes every invariant :class:`GameGraph` assumes, defaulting
+    priorities to 0 and labels to the empty letter.  Transforms of a valid
+    graph call the constructor directly instead.
     """
     state_tuple = tuple(sorted(set(states)))
     if not state_tuple:
@@ -165,7 +205,7 @@ def build_graph(
     prio_map: dict[str, int] = {}
     for s in state_tuple:
         p = priority.get(s, 0)
-        if not isinstance(p, int) or p < 0:
+        if not _is_priority(p):
             raise ValidationError(f"state {s!r}: priority must be a natural number")
         prio_map[s] = p
 
@@ -186,6 +226,15 @@ def build_graph(
         label=label_map,
         initial=initial,
     )
+
+
+def check_priorities(g: GameGraph, priority: Mapping[str, int]) -> None:
+    """Validate a caller's priority map over the states of ``g``."""
+    for s in g.states:
+        if s not in priority:
+            raise ValidationError(f"state {s!r}: no priority assigned")
+        if not _is_priority(priority[s]):
+            raise ValidationError(f"state {s!r}: priority must be a natural number")
 
 
 def check_p2_edges(g: GameGraph, edges: Iterable[Edge], what: str) -> list[Edge]:
@@ -215,7 +264,7 @@ class ObjectiveKind(str, Enum):
 @dataclass(frozen=True)
 class Objective:
     """Winning condition.  Reach/Safe/Buchi/CoBuchi carry a target set;
-    Parity carries a total priority map with values in {0,...,d-1}.
+    Parity carries a total map from states to natural-number priorities.
 
     Reach and Safe are solved directly by the solvers, never through a
     parity encoding; Buchi and CoBuchi have canonical two-priority
@@ -224,7 +273,6 @@ class Objective:
     kind: ObjectiveKind
     target: frozenset[str] = frozenset()
     priority: Mapping[str, int] | None = None
-    d: int = 0
 
     @classmethod
     def reach(cls, target: Iterable[str]) -> "Objective":
@@ -244,11 +292,13 @@ class Objective:
 
     @classmethod
     def parity(cls, priority: Mapping[str, int]) -> "Objective":
-        prio = {s: int(p) for s, p in priority.items()}
-        if any(p < 0 for p in prio.values()):
-            raise ValidationError("parity objective: negative priority")
-        d = max(prio.values(), default=0) + 1
-        return cls(ObjectiveKind.PARITY, frozenset(), prio, d)
+        prio = dict(priority)
+        for p in prio.values():
+            if not _is_priority(p):
+                if type(p) is int:
+                    raise ValidationError("parity objective: negative priority")
+                raise ValidationError(f"invalid literal {p!r} for a priority")
+        return cls(ObjectiveKind.PARITY, frozenset(), prio)
 
     def validate_against(self, g: GameGraph) -> None:
         if self.kind is ObjectiveKind.PARITY:
@@ -509,16 +559,8 @@ def induced_structure(
             continue
         check_strategy(g, strat, total=True)
         fixed.update(strat.choice)
-    edges = [(u, v) for u, v in sorted(g.edges) if u not in fixed or fixed[u] == v]
-    return build_graph(
-        states=g.states,
-        owner=g.owner,
-        edges=edges,
-        dist=g.dist,
-        priority=g.priority,
-        label=g.label,
-        initial=g.initial,
-    )
+    edges = frozenset((u, v) for u, v in g.edges if u not in fixed or fixed[u] == v)
+    return GameGraph(g.states, g.owner, edges, g.dist, g.priority, g.label, g.initial)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +699,7 @@ def _objective_from_json(raw: dict, g: GameGraph) -> Objective:
             raise FormatError("objective.priorities: expected an object")
         try:
             obj = Objective.parity(prio)
-        except (TypeError, ValueError) as exc:
+        except ValidationError as exc:
             raise FormatError(f"objective.priorities: {exc}") from None
     else:
         target = raw.get("target")
@@ -739,7 +781,7 @@ def parse_game_file(text: str) -> tuple[GameGraph | SynthesisGame, Objective | N
         states.append(sid)
         owner[sid] = rec["owner"]
         if "priority" in rec:
-            if not isinstance(rec["priority"], int) or rec["priority"] < 0:
+            if not _is_priority(rec["priority"]):
                 raise FormatError(f"{where}: priority must be a natural number")
             priority[sid] = rec["priority"]
         if "label" in rec:

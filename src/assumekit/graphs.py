@@ -1,9 +1,12 @@
 """Plain directed-graph routines used throughout the package.
 
-All functions take explicit node and successor collections instead of game
+All functions take explicit node and adjacency collections instead of game
 objects so they can run on induced subgraphs, product constructions and
-reduction outputs alike.  Everything is deterministic: nodes are processed
-in the order given and successors in sorted order.
+reduction outputs alike.  Each routine is generic over the node type: the
+solvers pass the integer lists of a graph's arena, the brute-force oracles
+and the tests pass maps keyed by state id, with an entry for every node
+given.  Everything is deterministic: nodes are processed in the order
+given and successors in the order listed, which every caller keeps sorted.
 
 Every "is there a good cycle?" question goes through one SCC-refinement
 kernel, :func:`good_components`, the classic fair-cycle and Streett
@@ -20,6 +23,12 @@ nothing; emptiness deletes the states whose fair edges leave the component.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from typing import TypeVar, Union
+
+N = TypeVar("N", str, int)
+# Successor (or predecessor) lists: a map keyed by state id, or a list
+# indexed by arena position.
+Adjacency = Union[Mapping[N, Sequence[N]], Sequence[Sequence[N]]]
 
 
 def fresh_id(base: str, used: set[str]) -> str:
@@ -46,58 +55,48 @@ def reachable(start: Iterable[str], succ: Mapping[str, Sequence[str]]) -> set[st
     return seen
 
 
-def predecessors(nodes: Iterable[str], succ: Mapping[str, Sequence[str]]) -> dict[str, list[str]]:
-    """Reverse adjacency restricted to ``nodes``; lists come out sorted."""
-    node_set = set(nodes)
-    pred: dict[str, list[str]] = {u: [] for u in node_set}
-    for u in sorted(node_set):
-        for v in succ.get(u, ()):
-            if v in node_set:
-                pred[v].append(u)
-    return pred
-
-
 def backward_reachable(
-    targets: Iterable[str],
-    nodes: Iterable[str],
-    succ: Mapping[str, Sequence[str]],
-) -> set[str]:
-    """States within ``nodes`` that can reach ``targets`` inside ``nodes``."""
+    targets: Iterable[N],
+    nodes: Iterable[N],
+    pred: Adjacency,
+) -> set[N]:
+    """Nodes within ``nodes`` that can reach ``targets`` inside ``nodes``,
+    following the predecessor lists ``pred``."""
     node_set = set(nodes)
-    pred = predecessors(node_set, succ)
     seen = {t for t in targets if t in node_set}
     stack = list(seen)
     while stack:
         v = stack.pop()
-        for u in pred.get(v, ()):
-            if u not in seen:
+        for u in pred[v]:
+            if u in node_set and u not in seen:
                 seen.add(u)
                 stack.append(u)
     return seen
 
 
-def tarjan_scc(nodes: Sequence[str], succ: Mapping[str, Sequence[str]]) -> list[list[str]]:
+def tarjan_scc(nodes: Sequence[N], succ: Adjacency) -> list[list[N]]:
     """Strongly connected components of the subgraph induced by ``nodes``.
 
     Iterative so deep recursion on long chains cannot overflow.  Components
     are returned in reverse topological order (sinks first) with members
-    sorted; only edges staying inside ``nodes`` are considered.
+    sorted; only edges staying inside ``nodes`` are considered.  Successors
+    are visited in the order ``succ`` lists them.
     """
     node_set = set(nodes)
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[list[str]] = []
+    index: dict[N, int] = {}
+    low: dict[N, int] = {}
+    on_stack: set[N] = set()
+    stack: list[N] = []
+    components: list[list[N]] = []
     counter = 0
 
     for root in nodes:
         if root in index:
             continue
-        # Each work item is (node, its sorted successors inside ``nodes``,
-        # position of the next one to visit); the list is built on the
-        # node's first visit and carried until it is popped.
-        work: list[tuple[str, list[str], int]] = [(root, [], 0)]
+        # Each work item is (node, its successors inside ``nodes``, position
+        # of the next one to visit); the list is built on the node's first
+        # visit and carried until it is popped.
+        work: list[tuple[N, list[N], int]] = [(root, [], 0)]
         while work:
             u, successors, i = work[-1]
             if u not in index:
@@ -105,7 +104,7 @@ def tarjan_scc(nodes: Sequence[str], succ: Mapping[str, Sequence[str]]) -> list[
                 counter += 1
                 stack.append(u)
                 on_stack.add(u)
-                successors = [v for v in sorted(succ.get(u, ())) if v in node_set]
+                successors = [v for v in succ[u] if v in node_set]
             advanced = False
             while i < len(successors):
                 v = successors[i]
@@ -121,7 +120,7 @@ def tarjan_scc(nodes: Sequence[str], succ: Mapping[str, Sequence[str]]) -> list[
                 continue
             work.pop()
             if low[u] == index[u]:
-                comp: list[str] = []
+                comp: list[N] = []
                 while True:
                     w = stack.pop()
                     on_stack.discard(w)
@@ -136,18 +135,18 @@ def tarjan_scc(nodes: Sequence[str], succ: Mapping[str, Sequence[str]]) -> list[
 
 
 def good_components(
-    nodes: Sequence[str],
-    succ: Mapping[str, Sequence[str]],
-    drop: Callable[[list[str]], Iterable[str]],
-) -> set[str]:
+    nodes: Sequence[N],
+    succ: Adjacency,
+    drop: Callable[[list[N]], Iterable[N]],
+) -> set[N]:
     """Union of the components accepted by ``drop``, which gets each
     non-trivial SCC (members sorted) and returns the members to delete from
     it; an empty result accepts it.  Iterative, see the module docstring."""
-    good: set[str] = set()
+    good: set[N] = set()
     work = [list(nodes)]
     while work:
         for comp in tarjan_scc(work.pop(), succ):
-            if len(comp) == 1 and comp[0] not in succ.get(comp[0], ()):
+            if len(comp) == 1 and comp[0] not in succ[comp[0]]:
                 continue
             bad = set(drop(comp))
             if not bad:

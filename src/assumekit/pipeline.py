@@ -37,7 +37,6 @@ from .game import (
     Owner,
     SynthesisGame,
     all_letters,
-    build_graph,
     check_p2_edges,
     dump_game,
     induced_structure,
@@ -239,40 +238,29 @@ def _parity_form(tr: TransformResult) -> tuple[GameGraph, Objective]:
     g, obj = tr.graph, tr.objective
     if obj.parity_class:
         return g, Objective.parity(dict(obj.as_parity(g).priority))
+    target = obj.target
+    prio = {s: 0 if s in target else 1 for s in g.states}
     if obj.kind is ObjectiveKind.REACH:
-        target = set(obj.target)
-        edges = [(u, v) for u, v in sorted(g.edges) if u not in target]
-        edges.extend((t, t) for t in sorted(target))
-        prio = {s: 0 if s in target else 1 for s in g.states}
-        graph = build_graph(
-            states=g.states,
-            owner={s: g.owner[s] for s in g.states},
-            edges=edges,
-            priority=prio,
-            label={s: g.label[s] for s in g.states},
-            initial=g.initial,
+        edges = {(u, v) for u, v in g.edges if u not in target}
+        edges.update((t, t) for t in target)
+        graph = GameGraph(
+            g.states, g.owner, frozenset(edges), {}, prio, g.label, g.initial
         )
         return graph, Objective.parity(prio)
-    target = set(obj.target)
     used = set(g.states)
     bot = fresh_id("_bot", used)
-    edges = []
-    escaping = set()
-    for u, v in sorted(g.edges):
-        if u in target and v not in target:
-            escaping.add(u)
-        else:
-            edges.append((u, v))
-    edges.extend((u, bot) for u in sorted(escaping))
-    edges.append((bot, bot))
-    prio = {s: 0 if s in target else 1 for s in g.states}
+    edges = set()
+    for u, v in g.edges:
+        edges.add((u, bot) if u in target and v not in target else (u, v))
+    edges.add((bot, bot))
     prio[bot] = 1
-    graph = build_graph(
-        states=list(g.states) + [bot],
-        owner={**{s: g.owner[s] for s in g.states}, bot: Owner.P1},
-        edges=edges,
+    graph = GameGraph(
+        states=tuple(sorted(used)),
+        owner={**g.owner, bot: Owner.P1},
+        edges=frozenset(edges),
+        dist={},
         priority=prio,
-        label={s: g.label[s] for s in g.states},
+        label={**g.label, bot: frozenset()},
         initial=g.initial,
     )
     return graph, Objective.parity(prio)

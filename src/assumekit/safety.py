@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
-from .game import Edge, GameGraph, Objective, ObjectiveKind, Owner, build_graph, check_p2_edges
+from .game import Edge, GameGraph, Objective, ObjectiveKind, Owner, check_p2_edges
 from .graphs import fresh_id, reachable
 from .solvers import cooperative_win, solve
 
@@ -37,18 +37,20 @@ class TransformResult:
 
 
 def _redirect(g: GameGraph, forbidden: list[Edge]) -> tuple[GameGraph, str]:
+    if not g.deterministic:
+        raise ValidationError("forbidden edges: game has probabilistic states")
     used = set(g.states)
     sink = fresh_id("_top", used)
-    forb = set(forbidden)
-    edges = [(u, v) for u, v in sorted(g.edges) if (u, v) not in forb]
-    edges.extend((u, sink) for u in sorted({u for u, _ in forbidden}))
-    edges.append((sink, sink))
-    graph = build_graph(
-        states=list(g.states) + [sink],
-        owner={**{s: g.owner[s] for s in g.states}, sink: Owner.P1},
-        edges=edges,
-        priority={**{s: g.priority[s] for s in g.states}, sink: 0},
-        label={s: g.label[s] for s in g.states},
+    edges = set(g.edges).difference(forbidden)
+    edges.update((u, sink) for u, _ in forbidden)
+    edges.add((sink, sink))
+    graph = GameGraph(
+        states=tuple(sorted(used)),
+        owner={**g.owner, sink: Owner.P1},
+        edges=frozenset(edges),
+        dist={},
+        priority={**g.priority, sink: 0},
+        label={**g.label, sink: frozenset()},
         initial=g.initial,
     )
     return graph, sink

@@ -1,6 +1,6 @@
 """Sure-winning solvers for deterministic games.
 
-Each call compiles the game into integer arrays once: state i is the i-th
+Every kernel runs on the graph's cached integer arena: state i is the i-th
 id of the sorted ``g.states``, so index order is lexicographic order, and
 ids come back only when the result is built.  Reachability and safety are
 solved directly through the attractor; Buchi, co-Buchi and parity go through
@@ -29,17 +29,17 @@ from typing import AbstractSet, Iterable
 
 from .errors import ValidationError
 from .game import (
+    _P1,
+    _P2,
+    _SIDE,
     GameGraph,
     MemorylessStrategy,
     Objective,
     ObjectiveKind,
     Owner,
+    _Arena,
 )
 from .graphs import backward_reachable, good_components
-
-# Integer owners: a parity favours player ``priority % 2``.
-_P1, _P2 = 0, 1
-_SIDE = {Owner.P1: _P1, Owner.P2: _P2, Owner.PROB: 2}
 
 # (win P1, win P2, strategy P1, strategy P2) over state indices.
 _Solution = tuple[set[int], set[int], dict[int, int], dict[int, int]]
@@ -54,29 +54,6 @@ class SolveResult:
     win2: frozenset[str]
     strat1: MemorylessStrategy
     strat2: MemorylessStrategy
-
-
-@dataclass(frozen=True)
-class _Arena:
-    """A game as integer arrays; index i is the i-th id of ``names``."""
-
-    names: tuple[str, ...]
-    index: dict[str, int]
-    succ: list[tuple[int, ...]]  # sorted
-    pred: list[list[int]]
-    side: list[int]  # _P1, _P2, or 2 for probabilistic states
-
-
-def _compile(g: GameGraph) -> _Arena:
-    names = g.states
-    index = {s: i for i, s in enumerate(names)}
-    at = index.__getitem__
-    succ = [tuple(map(at, g.succ(s))) for s in names]
-    pred: list[list[int]] = [[] for _ in names]
-    for u, ts in enumerate(succ):
-        for t in ts:
-            pred[t].append(u)
-    return _Arena(names, index, succ, pred, [_SIDE[g.owner[s]] for s in names])
 
 
 def _attract(
@@ -122,7 +99,7 @@ def attractor(g: GameGraph, player: Owner, target: Iterable[str]) -> frozenset[s
     unknown = target - set(g.states)
     if unknown:
         raise ValidationError(f"attractor target mentions unknown state {sorted(unknown)[0]!r}")
-    a = _compile(g)
+    a = g._arena
     area, _, _ = _attract(a, set(range(len(a.names))), _SIDE[player], {a.index[s] for s in target})
     return frozenset(map(a.names.__getitem__, area))
 
@@ -239,7 +216,7 @@ def solve(g: GameGraph, objective: Objective) -> SolveResult:
     if not g.deterministic:
         raise ValidationError("solve: game has probabilistic states")
     objective.validate_against(g)
-    a = _compile(g)
+    a = g._arena
     if objective.kind is ObjectiveKind.REACH:
         w1, w2, s1, s2 = _solve_reach(a, {a.index[s] for s in objective.target})
     elif objective.kind is ObjectiveKind.SAFE:
@@ -269,18 +246,22 @@ def cooperative_win(g: GameGraph, objective: Objective) -> frozenset[str]:
     if not g.deterministic:
         raise ValidationError("cooperative_win: game has probabilistic states")
     objective.validate_against(g)
-    succ = g.succ_map()
-    nodes = list(g.states)
+    a = g._arena
+    succ, pred, index = a.succ, a.pred, a.index
+    nodes = range(len(a.names))
     if objective.kind is ObjectiveKind.REACH:
-        return frozenset(backward_reachable(objective.target, nodes, succ))
-    if objective.kind is ObjectiveKind.SAFE:
-        inside = sorted(objective.target)
+        win = backward_reachable({index[s] for s in objective.target}, nodes, pred)
+    elif objective.kind is ObjectiveKind.SAFE:
+        inside = sorted(index[s] for s in objective.target)
         loops = good_components(inside, succ, lambda comp: ())
-        return frozenset(backward_reachable(loops, inside, succ))
-    prio = objective.as_parity(g).priority
+        win = backward_reachable(loops, inside, pred)
+    else:
+        given = objective.as_parity(g).priority
+        prio = [given[s] for s in a.names]
 
-    def odd_least(comp: list[str]) -> list[str]:
-        least = min(prio[s] for s in comp)
-        return [s for s in comp if prio[s] == least] if least % 2 else []
+        def odd_least(comp: list[int]) -> list[int]:
+            least = min(prio[v] for v in comp)
+            return [v for v in comp if prio[v] == least] if least % 2 else []
 
-    return frozenset(backward_reachable(good_components(nodes, succ, odd_least), nodes, succ))
+        win = backward_reachable(good_components(nodes, succ, odd_least), nodes, pred)
+    return frozenset(map(a.names.__getitem__, win))

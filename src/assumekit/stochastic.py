@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
-from .errors import GuardError, ValidationError
-from .game import GameGraph, MemorylessStrategy, Objective, Owner, build_graph
+from .errors import GuardError
+from .game import GameGraph, MemorylessStrategy, Objective, Owner, check_priorities
 from .graphs import fresh_id, reachable, tarjan_scc
 from .solvers import solve
 
@@ -40,58 +40,37 @@ class GadgetOutput:
     back: Mapping[str, tuple[str, str]]
 
 
-def _check_priorities(g: GameGraph, priority: Mapping[str, int], d: int | None) -> int:
-    for s in g.states:
-        if s not in priority:
-            raise ValidationError(f"state {s!r}: no priority assigned")
-        if priority[s] < 0:
-            raise ValidationError(f"state {s!r}: negative priority")
-    top = max(priority[s] for s in g.states)
-    if d is None:
-        return top + 1
-    if top >= d:
-        raise ValidationError(f"priority {top} out of range for d={d}")
-    return d
-
-
-def gadget_reduce(g: GameGraph, priority: Mapping[str, int], d: int | None = None) -> GadgetOutput:
+def gadget_reduce(g: GameGraph, priority: Mapping[str, int]) -> GadgetOutput:
     """Deterministic game whose P1 sure-winning set, intersected with the
     original states, is the almost-sure winning set of ``g``."""
-    d = _check_priorities(g, priority, d)
+    check_priorities(g, priority)
+    prio = {s: priority[s] for s in g.states}
     prob_states = g.states_of(Owner.PROB)
     if not prob_states:
-        prio = {s: priority[s] for s in g.states}
         return GadgetOutput(game=g, priority=prio, back={})
 
+    d = max(prio.values()) + 1
     used = set(g.states)
-    states: list[str] = list(g.states)
-    owner: dict[str, Owner] = {}
-    prio: dict[str, int] = {}
-    edges: list[tuple[str, str]] = []
+    owner = dict(g.owner)
+    label = dict(g.label)
+    edges = [e for e in g.edges if e[0] not in g.dist]
     back: dict[str, tuple[str, str]] = {}
-
-    for s in g.states:
-        if g.owner[s] is not Owner.PROB:
-            owner[s] = g.owner[s]
-            prio[s] = priority[s]
-            edges.extend((s, t) for t in g.succ(s))
 
     for v in prob_states:
         support = g.succ(v)
         owner[v] = Owner.P1
-        prio[v] = priority[v]
         back[v] = (v, "entry")
         for claim in range(0, d, 2):
             accept = fresh_id(f"{v}@a{claim}", used)
             concede = fresh_id(f"{v}@c{claim}", used)
             challenge = fresh_id(f"{v}@d{claim + 1}", used)
-            states += [accept, concede, challenge]
             owner[accept] = Owner.P2
             owner[concede] = Owner.P2
             owner[challenge] = Owner.P1
             prio[accept] = d
             prio[concede] = claim
             prio[challenge] = claim + 1
+            label[accept] = label[concede] = label[challenge] = frozenset()
             back[accept] = (v, f"accept-{claim}")
             back[concede] = (v, f"concede-{claim}")
             back[challenge] = (v, f"challenge-{claim + 1}")
@@ -101,12 +80,13 @@ def gadget_reduce(g: GameGraph, priority: Mapping[str, int], d: int | None = Non
             edges.extend((concede, u) for u in support)
             edges.extend((challenge, u) for u in support)
 
-    game = build_graph(
-        states=states,
+    game = GameGraph(
+        states=tuple(sorted(used)),
         owner=owner,
-        edges=edges,
+        edges=frozenset(edges),
+        dist={},
         priority=prio,
-        label={s: g.label.get(s, frozenset()) for s in g.states},
+        label=label,
         initial=g.initial,
     )
     return GadgetOutput(game=game, priority=prio, back=back)
@@ -121,7 +101,7 @@ def almost_sure_parity(
     On deterministic games almost-sure and sure winning coincide, so those
     are solved directly.
     """
-    _check_priorities(g, priority, None)
+    check_priorities(g, priority)
     if g.deterministic:
         res = solve(g, Objective.parity({s: priority[s] for s in g.states}))
         return res.win1, res.strat1
@@ -153,7 +133,7 @@ def oracle_almost_sure(
     priority."""
     if len(g.states) > max_states:
         raise GuardError(f"oracle_almost_sure: {len(g.states)} states exceeds {max_states}")
-    _check_priorities(g, priority, None)
+    check_priorities(g, priority)
 
     result: set[str] = set()
     for alpha in _strategy_space(g, Owner.P1):

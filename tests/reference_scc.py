@@ -5,7 +5,9 @@ and ``reference_is_empty`` are the code the library shipped before
 ``graphs.good_components`` took over: one ``tarjan_scc`` pass per even
 priority, a Safe core re-scanned until nothing changes, and a recursive
 refinement for emptiness.  Every result is a set with no tie-break, so the
-differential tests demand plain set equality.
+differential tests demand plain set equality.  ``predecessors`` and
+``backward_reachable`` are the string-keyed versions those searches used,
+before the library's version took predecessor lists.
 """
 
 from __future__ import annotations
@@ -20,7 +22,37 @@ from assumekit import (
     ObjectiveKind,
     ValidationError,
 )
-from assumekit.graphs import backward_reachable, reachable, tarjan_scc
+from assumekit.graphs import reachable, tarjan_scc
+
+
+def predecessors(nodes: Iterable[str], succ: Mapping[str, Sequence[str]]) -> dict[str, list[str]]:
+    """Reverse adjacency restricted to ``nodes``; lists come out sorted."""
+    node_set = set(nodes)
+    pred: dict[str, list[str]] = {u: [] for u in node_set}
+    for u in sorted(node_set):
+        for v in succ.get(u, ()):
+            if v in node_set:
+                pred[v].append(u)
+    return pred
+
+
+def backward_reachable(
+    targets: Iterable[str],
+    nodes: Iterable[str],
+    succ: Mapping[str, Sequence[str]],
+) -> set[str]:
+    """States within ``nodes`` that can reach ``targets`` inside ``nodes``."""
+    node_set = set(nodes)
+    pred = predecessors(node_set, succ)
+    seen = {t for t in targets if t in node_set}
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        for u in pred.get(v, ()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
 
 
 def has_internal_edge(comp: Sequence[str], succ: Mapping[str, Sequence[str]]) -> bool:
@@ -45,7 +77,7 @@ def reference_cooperative_win(g: GameGraph, objective: Objective) -> frozenset[s
     if not g.deterministic:
         raise ValidationError("cooperative_win: game has probabilistic states")
     objective.validate_against(g)
-    succ = g.succ_map()
+    succ = {s: g.succ(s) for s in g.states}
     nodes = list(g.states)
     if objective.kind is ObjectiveKind.REACH:
         return frozenset(backward_reachable(objective.target, nodes, succ))

@@ -5,7 +5,8 @@ round-based attractor and the recursive Zielonka exactly as the library
 shipped them before it compiled games into integer arrays.  The wrappers at
 the bottom mirror the public entry points, so differential tests can demand
 that the library returns the same winning sets and the same strategies,
-key order included.
+key order included.  ``_compile`` is the per-call compilation into integer
+arrays that the solvers ran before each graph cached its own arena.
 """
 
 from __future__ import annotations
@@ -20,7 +21,20 @@ from assumekit import (
     Owner,
     SolveResult,
 )
+from assumekit.game import _SIDE, _Arena
 from assumekit.stochastic import gadget_reduce
+
+
+def _compile(g: GameGraph) -> _Arena:
+    names = g.states
+    index = {s: i for i, s in enumerate(names)}
+    at = index.__getitem__
+    succ = [tuple(map(at, g.succ(s))) for s in names]
+    pred: list[list[int]] = [[] for _ in names]
+    for u, ts in enumerate(succ):
+        for t in ts:
+            pred[t].append(u)
+    return _Arena(names, index, succ, pred, [_SIDE[g.owner[s]] for s in names])
 
 
 def _attract(

@@ -3,7 +3,9 @@ file outputs, GraphViz mode, and the documented exit codes."""
 
 from __future__ import annotations
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -114,10 +116,27 @@ class TestSolve:
             (b'{"states": [{"id": "a", "owner": "P1"}], "edges": [["a", "a"]], "initial": "a",'
              b' "objective": {"kind": "Buchi", "target": ["a"]}, "inputs": [["x"]], "outputs": []}',
              "inputs: expected a list of proposition names"),
+            (b'{"states": [{"id": "a", "owner": "P1"}], "edges": [["a", "a"]],'
+             b' "objective": {"kind": "Parity", "priorities": {"a": 2.5}}}',
+             "objective.priorities: invalid literal 2.5"),
+            (b'{"states": [{"id": "a", "owner": "P1"}], "edges": [["a", "a"]],'
+             b' "objective": {"kind": "Parity", "priorities": {"a": "3"}}}',
+             "objective.priorities: invalid literal '3'"),
+            (b'{"states": [{"id": "a", "owner": "P1"}], "edges": [["a", "a"]],'
+             b' "objective": {"kind": "Parity", "priorities": {"a": true}}}',
+             "objective.priorities: invalid literal True"),
+            (b'{"states": [{"id": "a", "owner": "P1"}], "edges": [["a", "a"]],'
+             b' "objective": {"kind": "Parity", "priorities": {"a": -1}}}',
+             "objective.priorities: parity objective: negative priority"),
+            (b'{"states": [{"id": "a", "owner": "P1", "priority": true}], "edges": [["a", "a"]],'
+             b' "objective": {"kind": "Parity"}}',
+             "states[0]: priority must be a natural number"),
         ],
         ids=[
             "deep-nesting", "list-endpoint", "dist-list", "list-weight", "bad-bytes",
             "list-initial", "list-target", "word-priority", "list-proposition",
+            "float-priority", "string-priority", "bool-priority", "negative-priority",
+            "bool-state-priority",
         ],
     )
     def test_malformed_file_exits_2(self, run, tmp_path, raw, message):
@@ -260,6 +279,20 @@ class TestGen:
         assert report["seed"] == 9
         assert report["payload"]["game"] == json.loads(
             dump_game(random_game(6, 0.3, 3, seed=9)))
+
+    def test_closed_stdout_exits_quietly(self, monkeypatch):
+        # ``assumekit gen ... | head -c 100``: the reader is gone before the
+        # report is written.
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(sys, "stderr", err)
+        code = cli.main(["gen", "--random", "--states", "30"])
+        sys.stdout.close()
+        assert code == 0 and err.getvalue() == ""
 
     def test_dot(self, run):
         code, out, _ = run("gen", "--random", "--states", "4", "--seed", "1", "--dot")

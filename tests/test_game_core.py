@@ -150,7 +150,7 @@ class TestObjective:
         assert Objective.buchi(["a"]).parity_class
         assert Objective.cobuchi(["a"]).parity_class
         par = Objective.parity({"a": 0, "b": 3})
-        assert par.parity_class and par.d == 4
+        assert par.parity_class and par.priority == {"a": 0, "b": 3}
 
     def test_negative_parity_rejected(self):
         with pytest.raises(ValidationError):
