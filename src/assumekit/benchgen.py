@@ -252,6 +252,8 @@ def random_game(
     """
     if num_states < 1:
         raise ValidationError("random_game: need at least one state")
+    if num_priorities < 1:
+        raise ValidationError("random_game: need at least one priority")
     rng = Random(seed)
     ids = [f"s{i:02d}" for i in range(num_states)]
     owner: dict[str, Owner] = {}
@@ -260,25 +262,20 @@ def random_game(
             owner[s] = Owner.PROB
         else:
             owner[s] = Owner.P1 if rng.random() < 0.5 else Owner.P2
-    edges: set[Edge] = set()
+    succ = {u: [v for v in ids if rng.random() < edge_density] for u in ids}
     for u in ids:
-        for v in ids:
-            if rng.random() < edge_density:
-                edges.add((u, v))
-    for u in ids:
-        if not any(x == u for x, _ in edges):
-            edges.add((u, ids[rng.randrange(num_states)]))
+        if not succ[u]:
+            succ[u].append(ids[rng.randrange(num_states)])
     priority = {s: rng.randrange(num_priorities) for s in ids}
-    dist: dict[str, dict[str, Fraction]] = {}
-    for s in ids:
-        if owner[s] is not Owner.PROB:
-            continue
-        succ = sorted(t for u, t in edges if u == s)
-        dist[s] = {t: Fraction(1, len(succ)) for t in succ}
+    dist = {
+        s: {t: Fraction(1, len(succ[s])) for t in succ[s]}
+        for s in ids
+        if owner[s] is Owner.PROB
+    }
     return build_graph(
         states=ids,
         owner=owner,
-        edges=sorted(edges),
+        edges=[(u, v) for u in ids for v in succ[u]],
         dist=dist,
         priority=priority,
         initial=ids[0],

@@ -40,6 +40,7 @@ from .game import (
     Objective,
     ObjectiveKind,
     SynthesisGame,
+    check_state,
     dump_game,
     parse_game_file,
     parse_word,
@@ -211,8 +212,7 @@ def cmd_assume(args: argparse.Namespace) -> tuple[dict, str, int | None, str | N
 
 def cmd_check(args: argparse.Namespace) -> tuple[dict, str, int | None, str | None]:
     graph, objective, digest = _load_game(args.file, args.objective_override)
-    if args.state not in graph.owner:
-        raise ValidationError(f"unknown state {args.state!r}")
+    check_state(graph, args.state)
     edges = _parse_edges(args.fair_edges)
     win, _ = assume_fair_win(graph, objective, edges)
     payload = {

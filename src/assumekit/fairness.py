@@ -24,6 +24,7 @@ from .game import (
     Owner,
     check_p2_edges,
     check_priorities,
+    check_state,
 )
 from .graphs import fresh_id, reachable, tarjan_scc
 from .solvers import cooperative_win, solve
@@ -108,12 +109,7 @@ def assume_fair_win(
 ) -> tuple[frozenset[str], MemorylessStrategy]:
     """Player-1 sure-winning set of AssumeFair(fair, objective), with a
     memoryless strategy, via the probabilistic reduction."""
-    prio = _parity_map(g, objective)
-    fair_edges = check_p2_edges(g, fair, "fair")
-    if not fair_edges:
-        res = solve(g, Objective.parity(prio))
-        return res.win1, res.strat1
-    reduced, red_prio = ass_red(g, fair_edges, prio)
+    reduced, red_prio = ass_red(g, fair, _parity_map(g, objective))
     win_red, strat_red = almost_sure_parity(reduced, red_prio)
     original = set(g.states)
     win = frozenset(win_red & original)
@@ -138,8 +134,7 @@ def oracle_assume_fair(
     """
     if len(g.states) > max_states:
         raise GuardError(f"oracle_assume_fair: {len(g.states)} states exceeds {max_states}")
-    if s not in g.owner:
-        raise ValidationError(f"unknown state {s!r}")
+    check_state(g, s)
     prio = _parity_map(g, objective)
     fair_edges = check_p2_edges(g, fair, "fair")
 
@@ -184,8 +179,7 @@ def _has_fair_losing_loop(
 def is_live(g: GameGraph, objective: Objective, s: str) -> bool:
     """A state is live when player 1 can keep the play inside the
     cooperative winning region forever (some hope always remains)."""
-    if s not in g.owner:
-        raise ValidationError(f"unknown state {s!r}")
+    check_state(g, s)
     region = cooperative_win(g, objective)
     return s in solve(g, Objective.safe(region)).win1
 
@@ -206,8 +200,7 @@ def locally_minimal_fair(
     set, so an edge that could not be dropped stays undroppable as later
     edges go, and the result is locally minimal: every proper subset loses.
     """
-    if s not in g.owner:
-        raise ValidationError(f"unknown state {s!r}")
+    check_state(g, s)
     if candidates is None:
         current = list(g.player2_edges())
     else:

@@ -237,6 +237,12 @@ def check_priorities(g: GameGraph, priority: Mapping[str, int]) -> None:
             raise ValidationError(f"state {s!r}: priority must be a natural number")
 
 
+def check_state(g: GameGraph, s: str) -> None:
+    """Validate a caller's state id against ``g``."""
+    if s not in g.owner:
+        raise ValidationError(f"unknown state {s!r}")
+
+
 def check_p2_edges(g: GameGraph, edges: Iterable[Edge], what: str) -> list[Edge]:
     """Validate a set of player-2 edges of ``g``; returns it sorted.
     ``what`` names the set in error messages ("fair", "forbidden", ...)."""
@@ -500,14 +506,10 @@ def word_of_play(sg: SynthesisGame, play: LassoPlay) -> LassoWord:
     stem_len = (m + 1) // 2
     cycle_len = c // 2
     letters = [
-        play_label(sg, play.state_at(2 * i + 1)) | play_label(sg, play.state_at(2 * i + 2))
+        g.label[play.state_at(2 * i + 1)] | g.label[play.state_at(2 * i + 2)]
         for i in range(stem_len + cycle_len)
     ]
     return LassoWord(stem=tuple(letters[:stem_len]), cycle=tuple(letters[stem_len:]))
-
-
-def play_label(sg: SynthesisGame, s: str) -> Letter:
-    return sg.graph.label[s]
 
 
 # ---------------------------------------------------------------------------

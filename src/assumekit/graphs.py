@@ -17,7 +17,9 @@ rule names the members of a component that cannot lie on a good cycle in
 it: none accepts the component, otherwise the rest goes back on the stack.
 The rules in use: parity deletes the least priority while it is odd, so the
 rounds follow the distinct priorities, not their values; Safe deletes
-nothing; emptiness deletes the states whose fair edges leave the component.
+nothing; emptiness deletes the states whose fair edges leave the component;
+the pipeline's witness check deletes those too and, when none is left to
+delete, the least priority while it is even.
 """
 
 from __future__ import annotations

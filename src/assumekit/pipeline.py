@@ -3,10 +3,12 @@
 Stages: carve out the minimal non-restrictive safety assumption, redirect
 its forbidden edges to a winning sink, re-express the relaxed objective in
 parity form, then shrink a strong-fairness assumption over the environment
-edges until it is locally minimal.  The result is packaged as an omega
-automaton over the synthesis alphabet (the base game structure plus the
-forbidden and fair edge sets) together with a witness strategy for the
-system and, on demand, a witness transducer for the environment.
+edges until it is locally minimal.  The system strategy is re-verified by a
+fair-loop search, :func:`_fair_loops`, not by the reduction that made it.
+The result is packaged as an omega automaton over the synthesis alphabet
+(the base game structure plus the forbidden and fair edge sets) together
+with a witness strategy for the system and, on demand, a witness transducer
+for the environment.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     FormatError,
@@ -38,8 +40,8 @@ from .game import (
     SynthesisGame,
     all_letters,
     check_p2_edges,
+    check_strategy,
     dump_game,
-    induced_structure,
     letter_key,
     letter_successor,
     parse_game_file,
@@ -122,30 +124,42 @@ def lasso_member(a: AssumptionAutomaton, w: LassoWord) -> bool:
     return all(u not in loop_states or (u, t) in loop_edges for u, t in sorted(a.fair))
 
 
-def is_empty(a: AssumptionAutomaton) -> bool:
-    """No lasso word is granted.
-
-    A granted word needs a reachable loop, in the graph pruned of forbidden
-    edges, that contains every fair edge rooted at one of its states.  Such
-    a loop lives inside a single strongly connected component, so SCC
-    refinement deletes, per component, the states whose fair edges escape
-    it, and the automaton is empty iff no component is left accepted.
+def _fair_loops(
+    start: Iterable[str],
+    succ: Mapping[str, Sequence[str]],
+    fair: Iterable[Edge],
+    priority: Mapping[str, int] | None = None,
+) -> set[str]:
+    """States on loops reachable from ``start`` that take every fair edge
+    rooted at one of their states and, given ``priority``, have an odd
+    least priority.  Streett emptiness on :func:`good_components`: states
+    with a fair edge leaving their component go first, then the least
+    priority while it is even; a component with nothing to drop is accepted.
     """
+    fair_out: dict[str, list[str]] = {}
+    for u, t in sorted(fair):
+        fair_out.setdefault(u, []).append(t)
+
+    def drop(comp: list[str]) -> list[str]:
+        comp_set = set(comp)
+        bad = [u for u in comp if any(t not in comp_set for t in fair_out.get(u, ()))]
+        if bad or priority is None:
+            return bad
+        least = min(priority[u] for u in comp)
+        return [u for u in comp if priority[u] == least] if least % 2 == 0 else []
+
+    return good_components(sorted(reachable(start, succ)), succ, drop)
+
+
+def is_empty(a: AssumptionAutomaton) -> bool:
+    """No lasso word is granted: no loop reachable in the graph pruned of
+    forbidden edges takes every fair edge rooted at one of its states."""
     g = a.base.graph
     succ = {
         s: tuple(t for t in g.succ(s) if (s, t) not in a.forbidden)
         for s in g.states
     }
-    reach = reachable([a.base.initial], succ)
-    fair_out: dict[str, list[str]] = {}
-    for u, t in sorted(a.fair):
-        fair_out.setdefault(u, []).append(t)
-
-    def escaping(comp: list[str]) -> list[str]:
-        comp_set = set(comp)
-        return [u for u in comp if any(t not in comp_set for t in fair_out.get(u, ()))]
-
-    return not good_components(sorted(reach), succ, escaping)
+    return not _fair_loops([a.base.initial], succ, a.fair)
 
 
 @dataclass(frozen=True)
@@ -311,15 +325,16 @@ def combined_assumption(sg: SynthesisGame) -> CombinedAssumption:
         raise InternalInvariantError("minimized fairness assumption failed re-verification")
 
     # Complete the strategy over the transformed game, then check it wins on
-    # its own: fix player 1, leave the environment free, solve again.
-    choice = dict(strat.choice)
-    for q in h.states_of(Owner.P1):
-        if q not in choice:
-            choice[q] = h.succ(q)[0]
-    fixed = induced_structure(h, MemorylessStrategy(Owner.P1, choice))
-    win_fixed, _ = assume_fair_win(fixed, h_obj, fair.edges)
-    if s0 not in win_fixed:
-        raise InternalInvariantError("witness strategy failed re-verification")
+    # its own: with player 1 fixed, no fair loop reachable from s0 may lose.
+    choice = {q: strat.choice.get(q, h.succ(q)[0]) for q in h.states_of(Owner.P1)}
+    check_strategy(h, MemorylessStrategy(Owner.P1, choice), total=True)
+    fixed = {q: (choice[q],) if q in choice else h.succ(q) for q in h.states}
+    loop = _fair_loops([s0], fixed, fair.edges, h_obj.priority)
+    if loop:
+        raise InternalInvariantError(
+            f"witness strategy failed re-verification: from {s0!r}, fair loops "
+            f"with an odd least priority pass through {sorted(loop)}"
+        )
 
     alpha: dict[str, str] = {}
     for q in g.states_of(Owner.P1):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
-from .game import Edge, GameGraph, Objective, ObjectiveKind, Owner, check_p2_edges
+from .game import Edge, GameGraph, Objective, ObjectiveKind, Owner, check_p2_edges, check_state
 from .graphs import fresh_id, reachable
 from .solvers import cooperative_win, solve
 
@@ -94,8 +94,7 @@ def is_safe_sufficient(
     """Player 1 wins "a candidate edge is chosen, or the play never leaves
     the cooperative region" from ``s``.  The region is always the one of the
     original game, also when the candidate is not the computed assumption."""
-    if s not in g.owner:
-        raise ValidationError(f"unknown state {s!r}")
+    check_state(g, s)
     region = cooperative_win(g, objective)
     tr = assume_safe_transform(g, objective, cand)
     res = solve(tr.graph, Objective.safe(set(region) | {tr.sink}))
@@ -108,8 +107,7 @@ def is_restrictive(
     """True when some cooperative play from ``s`` stays in the cooperative
     region forever yet uses a candidate edge, i.e. forbidding the candidate
     would cut genuinely useful environment behavior."""
-    if s not in g.owner:
-        raise ValidationError(f"unknown state {s!r}")
+    check_state(g, s)
     cand_edges = check_p2_edges(g, cand, "candidate")
     region = cooperative_win(g, objective)
     if s not in region:
@@ -125,11 +123,8 @@ def is_restrictive(
 def env_can_avoid(g: GameGraph, forbidden: Iterable[Edge], s: str) -> bool:
     """Player 2 can forever avoid traversing any forbidden edge from ``s``
     (player 1 steers, but the forbidden edges belong to player 2)."""
-    if s not in g.owner:
-        raise ValidationError(f"unknown state {s!r}")
-    forb = check_p2_edges(g, forbidden, "candidate")
-    graph, sink = _redirect(g, forb)
-    return s in solve(graph, Objective.reach({sink})).win2
+    check_state(g, s)
+    return s in avoid_region(g, forbidden)
 
 
 def avoid_region(g: GameGraph, forbidden: Iterable[Edge]) -> frozenset[str]:

@@ -96,16 +96,9 @@ def almost_sure_parity(
     g: GameGraph, priority: Mapping[str, int]
 ) -> tuple[frozenset[str], MemorylessStrategy]:
     """Almost-sure P1 winning set of Parity(priority), with a memoryless
-    witness strategy on P1 states of the original game.
-
-    On deterministic games almost-sure and sure winning coincide, so those
-    are solved directly.
-    """
-    check_priorities(g, priority)
-    if g.deterministic:
-        res = solve(g, Objective.parity({s: priority[s] for s in g.states}))
-        return res.win1, res.strat1
-
+    witness strategy on P1 states of the original game.  A deterministic
+    game passes through the reduction unchanged: there almost-sure and sure
+    winning coincide."""
     out = gadget_reduce(g, priority)
     res = solve(out.game, Objective.parity(dict(out.priority)))
     original = set(g.states)

@@ -3,6 +3,7 @@ reduction, exhaustive subset search, and seeded random games."""
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -291,3 +292,26 @@ class TestRandomGame:
     def test_validation(self):
         with pytest.raises(ValidationError, match="at least one"):
             random_game(0, 0.3, 3)
+        for priorities in (0, -1):
+            with pytest.raises(ValidationError, match="at least one priority"):
+                random_game(4, 0.3, priorities)
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ((1, 0.3, 1, 0.0, 0), "8d7a910a4a1ef23907846a15e4450a60f133978ecd7808ade14bae59bbd1cfa4"),
+            ((4, 0.0, 3, 0.0, 5), "9cea57b0deccf24ef3a68e7cf03c7a2f122f999131bd74fd4787e4c556479762"),
+            ((6, 0.3, 3, 0.0, 7), "37ad2964488a980709331b3e98ea79049f95404f67bdeda6c34ba0495b38cf45"),
+            ((8, 0.5, 3, 0.7, 2), "65dcf2eaee3aaef1d47157cbb79fc9d26cf0ebf53ee4ed002e9e9c1e33e6aa15"),
+            ((12, 0.05, 4, 0.5, 11), "970673043b43072d0c8afbff5b51318c7a2bb74766646080af8ba38758b179e9"),
+            ((30, 0.1, 5, 0.2, 3), "5bbda9ef1785a2eb404f29f0f3ce10826710eed7de56b04d4414d5a408830885"),
+            ((120, 0.02, 6, 0.2, 9), "b5650fe172dcb55e683801ae921d47eafb4d698a3122a7b8b0de5bcdc575937b"),
+        ],
+    )
+    def test_pinned_dumps(self, args, digest):
+        # (states, density, priorities, prob_fraction, seed); zero-density
+        # fallbacks, probabilistic states and ids past s99, which sort out
+        # of index order.
+        n, density, priorities, prob_fraction, seed = args
+        g = random_game(n, density, priorities, prob_fraction=prob_fraction, seed=seed)
+        assert hashlib.sha256(dump_game(g).encode()).hexdigest() == digest

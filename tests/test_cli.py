@@ -10,7 +10,10 @@ import sys
 import pytest
 
 import assumekit.cli as cli
+import assumekit.pipeline as pipeline
 from assumekit import (
+    MemorylessStrategy,
+    Owner,
     dump_game,
     parse_automaton,
     parse_game,
@@ -298,6 +301,12 @@ class TestGen:
         code, out, _ = run("gen", "--random", "--states", "4", "--seed", "1", "--dot")
         assert code == 0 and out.startswith("digraph")
 
+    @pytest.mark.parametrize("priorities", ["0", "-1"])
+    def test_no_priorities_exit_2(self, run, priorities):
+        code, out, err = run("gen", "--random", "--priorities", priorities)
+        assert code == 2 and out == ""
+        assert err == "assumekit: random_game: need at least one priority\n"
+
 
 class TestMember:
     @pytest.fixture
@@ -351,6 +360,20 @@ class TestReportEnvelope:
         code, out, err = run("solve", path)
         assert code == 3 and out == ""
         assert err == "assumekit: internal error: RuntimeError: kaboom\n"
+
+    def test_failed_witness_check_exits_3(self, run, synth_file, monkeypatch):
+        real = pipeline.assume_fair_win
+
+        def corrupted(*args):
+            win, strat = real(*args)
+            choice = {**strat.choice, "q_p1b0_ir": "t_p1b0_on"}
+            return win, MemorylessStrategy(Owner.P1, choice)
+
+        monkeypatch.setattr(pipeline, "assume_fair_win", corrupted)
+        path = synth_file("rcg.json", f_rcg())
+        code, out, err = run("assume", path, "--mode", "combined")
+        assert code == 3 and out == ""
+        assert err.startswith("assumekit: witness strategy failed re-verification: ")
 
     def test_deep_self_loops_solve(self, run, tmp_path):
         # 1,200 isolated P1 self-loops, even priorities: the recursive solver

@@ -34,7 +34,7 @@ from assumekit import (
     word_of_play,
 )
 from assumekit.fixtures import f_buchi_loop, f_coin, f_rcg, f_safety_escape
-from assumekit.game import check_strategy, letter_key, play_label, validate_play
+from assumekit.game import check_strategy, letter_key, validate_play
 
 
 def tiny_graph():

@@ -7,9 +7,11 @@ from itertools import product
 
 import pytest
 
+import assumekit.pipeline as pipeline
 from assumekit import (
     AssumptionAutomaton,
     FormatError,
+    InternalInvariantError,
     MemorylessStrategy,
     NoFairAssumptionError,
     Objective,
@@ -327,6 +329,38 @@ class TestCombinedAssumption:
     def test_live_but_no_fair_assumption(self):
         with pytest.raises(NoFairAssumptionError, match="no strong-fairness"):
             combined_assumption(live_but_unfixable_synthesis())
+
+    def test_witness_checked_without_a_second_solve(self, monkeypatch):
+        # Only the query that yields the strategy goes to the solver; the
+        # re-check searches fair loops instead.
+        calls = []
+        real = pipeline.assume_fair_win
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "assume_fair_win", counting)
+        res = arbiter_assumption()
+        assert calls == [res.fairness.edges]
+
+    def test_corrupted_witness_fails_re_verification(self, monkeypatch):
+        real = pipeline.assume_fair_win
+
+        def corrupted(*args):
+            win, strat = real(*args)
+            # Withhold a pending grant although granting is allowed.
+            choice = {**strat.choice, "q_p1b0_ir": "t_p1b0_on"}
+            return win, MemorylessStrategy(Owner.P1, choice)
+
+        monkeypatch.setattr(pipeline, "assume_fair_win", corrupted)
+        with pytest.raises(InternalInvariantError) as exc:
+            arbiter_assumption()
+        assert str(exc.value) == (
+            "witness strategy failed re-verification: from 'q_p0b0_in', fair "
+            "loops with an odd least priority pass through ['q_p1b0_ir', "
+            "'q_p1b1_ic', 'q_p1b1_irc', 't_p1b0_on', 't_p1b1_on']"
+        )
 
 
 class TestInterchange:
